@@ -49,12 +49,12 @@ pub use pattern::Pattern;
 
 /// Parse content MathML (a `<math>` element or a bare operand element) into
 /// an expression tree.
-pub fn parse_mathml(element: &sbml_xml::Element) -> Result<MathExpr, MathError> {
+pub fn parse_mathml(element: &sbml_xml::Element<'_>) -> Result<MathExpr, MathError> {
     parser::parse(element)
 }
 
 /// Serialize an expression tree to a `<math>` element with the standard
 /// MathML namespace.
-pub fn to_mathml(expr: &MathExpr) -> sbml_xml::Element {
+pub fn to_mathml(expr: &MathExpr) -> sbml_xml::Element<'static> {
     writer::to_math_element(expr)
 }

@@ -6,7 +6,7 @@
 //! calls, `degree`/`logbase` qualifiers, `piecewise` and `lambda`.
 //! Namespace prefixes on element names are ignored (`m:apply` == `apply`).
 
-use sbml_xml::Element;
+use sbml_xml::{Element, NodeRef};
 
 use crate::ast::{Constant, CsymbolKind, MathExpr, Op};
 use crate::error::MathError;
@@ -20,7 +20,7 @@ pub fn local_name(qualified: &str) -> &str {
 }
 
 /// Parse a `<math>` wrapper or a bare MathML operand element.
-pub fn parse(element: &Element) -> Result<MathExpr, MathError> {
+pub fn parse(element: &Element<'_>) -> Result<MathExpr, MathError> {
     if local_name(&element.name) == "math" {
         let mut operands = element.child_elements();
         let Some(first) = operands.next() else {
@@ -37,7 +37,7 @@ pub fn parse(element: &Element) -> Result<MathExpr, MathError> {
     }
 }
 
-fn parse_node(e: &Element) -> Result<MathExpr, MathError> {
+fn parse_node(e: &Element<'_>) -> Result<MathExpr, MathError> {
     match local_name(&e.name) {
         "cn" => parse_cn(e),
         "ci" => Ok(MathExpr::Ci(e.text().trim().to_owned())),
@@ -55,56 +55,43 @@ fn parse_node(e: &Element) -> Result<MathExpr, MathError> {
     }
 }
 
-fn parse_cn(e: &Element) -> Result<MathExpr, MathError> {
-    let ty = e.attr("type").unwrap_or("real");
-    // e-notation / rational use a <sep/> element between two number parts.
-    let parts: Vec<String> = split_on_sep(e);
+fn parse_cn(e: &Element<'_>) -> Result<MathExpr, MathError> {
     let bad = || MathError::BadNumber { text: e.text().trim().to_owned() };
-    match ty {
-        "e-notation" => {
-            if parts.len() != 2 {
-                return Err(bad());
-            }
-            let mantissa: f64 = parts[0].trim().parse().map_err(|_| bad())?;
-            let exponent: f64 = parts[1].trim().parse().map_err(|_| bad())?;
-            Ok(MathExpr::Num(mantissa * 10f64.powf(exponent)))
-        }
-        "rational" => {
-            if parts.len() != 2 {
-                return Err(bad());
-            }
-            let num: f64 = parts[0].trim().parse().map_err(|_| bad())?;
-            let den: f64 = parts[1].trim().parse().map_err(|_| bad())?;
-            Ok(MathExpr::Num(num / den))
+    let number = |text: &str| text.trim().parse::<f64>().map_err(|_| bad());
+    match e.attr("type").unwrap_or("real") {
+        // e-notation / rational use a <sep/> element between two number parts.
+        ty @ ("e-notation" | "rational") => {
+            let (first, second) = split_on_sep(e).ok_or_else(bad)?;
+            let (first, second) = (number(&first)?, number(&second)?);
+            Ok(MathExpr::Num(if ty == "e-notation" {
+                first * 10f64.powf(second)
+            } else {
+                first / second
+            }))
         }
         // "integer" | "real" | anything else: single payload
-        _ => {
-            let text = e.text();
-            let trimmed = text.trim();
-            let value: f64 = trimmed.parse().map_err(|_| bad())?;
-            Ok(MathExpr::Num(value))
-        }
+        _ => Ok(MathExpr::Num(number(&e.text())?)),
     }
 }
 
-/// Split `<cn>` content on `<sep/>` children.
-fn split_on_sep(e: &Element) -> Vec<String> {
-    let mut parts = vec![String::new()];
-    for node in &e.children {
+/// The text before and after the single `<sep/>` child of `<cn>`, or
+/// `None` unless there is exactly one.
+fn split_on_sep(e: &Element<'_>) -> Option<(String, String)> {
+    let mut parts = (String::new(), String::new());
+    let mut seps = 0;
+    for node in e.children.iter() {
         match node {
-            sbml_xml::Node::Text(t) | sbml_xml::Node::CData(t) => {
-                parts.last_mut().expect("non-empty").push_str(t);
+            NodeRef::Text(t) | NodeRef::CData(t) => {
+                if seps == 0 { &mut parts.0 } else { &mut parts.1 }.push_str(t);
             }
-            sbml_xml::Node::Element(el) if local_name(&el.name) == "sep" => {
-                parts.push(String::new());
-            }
+            NodeRef::Element(el) if local_name(&el.name) == "sep" => seps += 1,
             _ => {}
         }
     }
-    parts
+    (seps == 1).then_some(parts)
 }
 
-fn parse_csymbol(e: &Element) -> Result<MathExpr, MathError> {
+fn parse_csymbol(e: &Element<'_>) -> Result<MathExpr, MathError> {
     let url = e.attr("definitionURL").unwrap_or("");
     let Some(kind) = CsymbolKind::from_definition_url(url) else {
         return Err(MathError::UnknownElement { name: format!("csymbol[{url}]") });
@@ -112,16 +99,19 @@ fn parse_csymbol(e: &Element) -> Result<MathExpr, MathError> {
     Ok(MathExpr::Csymbol { kind, name: e.text().trim().to_owned() })
 }
 
-fn parse_apply(e: &Element) -> Result<MathExpr, MathError> {
-    let kids: Vec<&Element> = e.child_elements().collect();
-    let Some((head, rest)) = kids.split_first() else {
+fn parse_apply(e: &Element<'_>) -> Result<MathExpr, MathError> {
+    let mut rest = e.child_elements();
+    let Some(head) = rest.next() else {
         return Err(MathError::BadApply { detail: "<apply> is empty".to_owned() });
     };
 
     // Function-definition call: <apply><ci>f</ci> args...</apply>
     if local_name(&head.name) == "ci" {
         let function = head.text().trim().to_owned();
-        let args = rest.iter().map(|a| parse_node(a)).collect::<Result<Vec<_>, _>>()?;
+        let mut args = Vec::with_capacity(rest.clone().count());
+        for arg in rest {
+            args.push(parse_node(arg)?);
+        }
         return Ok(MathExpr::Call { function, args });
     }
 
@@ -130,8 +120,10 @@ fn parse_apply(e: &Element) -> Result<MathExpr, MathError> {
         return Err(MathError::UnknownElement { name: op_name.to_owned() });
     };
 
-    // Qualifiers: <degree> (root) and <logbase> (log) become the first arg.
-    let mut args: Vec<MathExpr> = Vec::with_capacity(rest.len());
+    // Qualifiers: <degree> (root) and <logbase> (log) become the first arg;
+    // root and log get a spare slot for a defaulted one.
+    let spare = usize::from(matches!(op, Op::Root | Op::Log));
+    let mut args: Vec<MathExpr> = Vec::with_capacity(rest.clone().count() + spare);
     let mut qualifier: Option<MathExpr> = None;
     for child in rest {
         match local_name(&child.name) {
@@ -161,19 +153,25 @@ fn parse_apply(e: &Element) -> Result<MathExpr, MathError> {
     Ok(MathExpr::Apply { op, args })
 }
 
-fn parse_piecewise(e: &Element) -> Result<MathExpr, MathError> {
-    let mut pieces = Vec::new();
+fn parse_piecewise(e: &Element<'_>) -> Result<MathExpr, MathError> {
+    let mut pieces =
+        Vec::with_capacity(e.child_elements().filter(|c| local_name(&c.name) == "piece").count());
     let mut otherwise = None;
     for child in e.child_elements() {
         match local_name(&child.name) {
             "piece" => {
-                let parts: Vec<&Element> = child.child_elements().collect();
-                if parts.len() != 2 {
+                let mut parts = child.child_elements();
+                let (Some(value), Some(condition), None) =
+                    (parts.next(), parts.next(), parts.next())
+                else {
                     return Err(MathError::BadApply {
-                        detail: format!("<piece> needs 2 children, has {}", parts.len()),
+                        detail: format!(
+                            "<piece> needs 2 children, has {}",
+                            child.child_elements().count()
+                        ),
                     });
-                }
-                pieces.push((parse_node(parts[0])?, parse_node(parts[1])?));
+                };
+                pieces.push((parse_node(value)?, parse_node(condition)?));
             }
             "otherwise" => {
                 let inner = child.child_elements().next().ok_or_else(|| MathError::BadApply {
@@ -187,8 +185,9 @@ fn parse_piecewise(e: &Element) -> Result<MathExpr, MathError> {
     Ok(MathExpr::Piecewise { pieces, otherwise })
 }
 
-fn parse_lambda(e: &Element) -> Result<MathExpr, MathError> {
-    let mut params = Vec::new();
+fn parse_lambda(e: &Element<'_>) -> Result<MathExpr, MathError> {
+    let mut params =
+        Vec::with_capacity(e.child_elements().filter(|c| local_name(&c.name) == "bvar").count());
     let mut body = None;
     for child in e.child_elements() {
         match local_name(&child.name) {

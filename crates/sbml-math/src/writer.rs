@@ -8,12 +8,12 @@ use crate::ast::{MathExpr, Op};
 pub const MATHML_NS: &str = "http://www.w3.org/1998/Math/MathML";
 
 /// Wrap an expression in a namespaced `<math>` element.
-pub fn to_math_element(expr: &MathExpr) -> Element {
+pub fn to_math_element(expr: &MathExpr) -> Element<'static> {
     Element::new("math").with_attr("xmlns", MATHML_NS).with_child(to_element(expr))
 }
 
 /// Serialize one expression node (without the `<math>` wrapper).
-pub fn to_element(expr: &MathExpr) -> Element {
+pub fn to_element(expr: &MathExpr) -> Element<'static> {
     match expr {
         MathExpr::Num(v) => Element::new("cn").with_text(format_number(*v)),
         MathExpr::Ci(name) => Element::new("ci").with_text(format!(" {name} ")),

@@ -17,13 +17,13 @@ pub struct CompartmentType {
 
 impl CompartmentType {
     /// Read from `<compartmentType>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         Ok(CompartmentType { id: req_attr(e, "id")?, name: opt_attr(e, "name") })
     }
 
     /// Write to `<compartmentType>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("compartmentType").with_attr("id", self.id.clone());
+    pub fn to_element(&self) -> Element<'_> {
+        let mut e = Element::new("compartmentType").with_attr("id", self.id.as_str());
         set_opt(&mut e, "name", &self.name);
         e
     }
@@ -40,13 +40,13 @@ pub struct SpeciesType {
 
 impl SpeciesType {
     /// Read from `<speciesType>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         Ok(SpeciesType { id: req_attr(e, "id")?, name: opt_attr(e, "name") })
     }
 
     /// Write to `<speciesType>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("speciesType").with_attr("id", self.id.clone());
+    pub fn to_element(&self) -> Element<'_> {
+        let mut e = Element::new("speciesType").with_attr("id", self.id.as_str());
         set_opt(&mut e, "name", &self.name);
         e
     }
@@ -89,7 +89,7 @@ impl Compartment {
     }
 
     /// Read from `<compartment>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         let spatial_dimensions = match e.attr("spatialDimensions") {
             None => 3,
             Some(raw) => raw.parse::<u32>().map_err(|_| {
@@ -114,8 +114,8 @@ impl Compartment {
     }
 
     /// Write to `<compartment>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("compartment").with_attr("id", self.id.clone());
+    pub fn to_element(&self) -> Element<'_> {
+        let mut e = Element::new("compartment").with_attr("id", self.id.as_str());
         set_opt(&mut e, "name", &self.name);
         set_opt(&mut e, "compartmentType", &self.compartment_type);
         if self.spatial_dimensions != 3 {
@@ -183,7 +183,7 @@ impl Species {
     }
 
     /// Read from `<species>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         let initial_amount = opt_f64(e, "initialAmount")?;
         let initial_concentration = opt_f64(e, "initialConcentration")?;
         if initial_amount.is_some() && initial_concentration.is_some() {
@@ -208,10 +208,10 @@ impl Species {
     }
 
     /// Write to `<species>`.
-    pub fn to_element(&self) -> Element {
+    pub fn to_element(&self) -> Element<'_> {
         let mut e = Element::new("species")
-            .with_attr("id", self.id.clone())
-            .with_attr("compartment", self.compartment.clone());
+            .with_attr("id", self.id.as_str())
+            .with_attr("compartment", self.compartment.as_str());
         set_opt(&mut e, "name", &self.name);
         set_opt(&mut e, "speciesType", &self.species_type);
         set_opt_f64(&mut e, "initialAmount", self.initial_amount);
@@ -255,7 +255,7 @@ impl Parameter {
     }
 
     /// Read from `<parameter>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         Ok(Parameter {
             id: req_attr(e, "id")?,
             name: opt_attr(e, "name"),
@@ -266,8 +266,8 @@ impl Parameter {
     }
 
     /// Write to `<parameter>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("parameter").with_attr("id", self.id.clone());
+    pub fn to_element(&self) -> Element<'_> {
+        let mut e = Element::new("parameter").with_attr("id", self.id.as_str());
         set_opt(&mut e, "name", &self.name);
         set_opt_f64(&mut e, "value", self.value);
         set_opt(&mut e, "units", &self.units);

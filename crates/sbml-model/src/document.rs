@@ -32,7 +32,7 @@ impl SbmlDocument {
     }
 
     /// Build from a parsed `<sbml>` root element (or a bare `<model>`).
-    pub fn from_root(root: &Element) -> Result<SbmlDocument, ModelError> {
+    pub fn from_root(root: &Element<'_>) -> Result<SbmlDocument, ModelError> {
         if root.name == "model" {
             // Tolerate bare models (useful in tests and fragments).
             return Ok(SbmlDocument::new(Model::from_element(root)?));
@@ -53,13 +53,18 @@ impl SbmlDocument {
 
     /// Serialize to SBML text (pretty-printed).
     pub fn to_xml(&self) -> String {
-        let root = Element::new("sbml")
-            .with_attr("xmlns", SBML_NS)
-            .with_attr("level", self.level.to_string())
-            .with_attr("version", self.version.to_string())
-            .with_child(self.model.to_element());
-        sbml_xml::write_pretty(&Document::with_root(root))
+        write_document(self.level, self.version, &self.model)
     }
+}
+
+/// Serialize `model` in an `<sbml>` wrapper of the given level and version.
+fn write_document(level: u32, version: u32, model: &Model) -> String {
+    let root = Element::new("sbml")
+        .with_attr("xmlns", SBML_NS)
+        .with_attr("level", level.to_string())
+        .with_attr("version", version.to_string())
+        .with_child(model.to_element());
+    sbml_xml::write_pretty(&Document::with_root(root))
 }
 
 /// Parse SBML text directly into a [`Model`].
@@ -67,9 +72,10 @@ pub fn parse_sbml(text: &str) -> Result<Model, ModelError> {
     Ok(SbmlDocument::parse(text)?.model)
 }
 
-/// Serialize a [`Model`] as a complete SBML document string.
+/// Serialize a [`Model`] as a complete SBML Level 2 Version 4 document
+/// string.
 pub fn write_sbml(model: &Model) -> String {
-    SbmlDocument::new(model.clone()).to_xml()
+    write_document(2, 4, model)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use sbml_math::MathExpr;
 use sbml_xml::Element;
 
 use crate::error::ModelError;
-use crate::xmlutil::{opt_attr, req_attr, req_math_child, set_opt};
+use crate::xmlutil::{opt_attr, read_list, req_attr, req_math_child, set_opt};
 
 /// One variable update fired by an event.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,7 +17,7 @@ pub struct EventAssignment {
 
 impl EventAssignment {
     /// Read from `<eventAssignment>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         Ok(EventAssignment {
             variable: req_attr(e, "variable")?,
             math: req_math_child(e, "eventAssignment")?,
@@ -25,9 +25,9 @@ impl EventAssignment {
     }
 
     /// Write to `<eventAssignment>`.
-    pub fn to_element(&self) -> Element {
+    pub fn to_element(&self) -> Element<'_> {
         Element::new("eventAssignment")
-            .with_attr("variable", self.variable.clone())
+            .with_attr("variable", self.variable.as_str())
             .with_child(sbml_math::to_mathml(&self.math))
     }
 }
@@ -55,7 +55,7 @@ impl Event {
     }
 
     /// Read from `<event>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         let trigger_el = e
             .child("trigger")
             .ok_or_else(|| ModelError::structure("event missing <trigger>"))?;
@@ -64,17 +64,17 @@ impl Event {
             Some(d) => Some(req_math_child(d, "event delay")?),
             None => None,
         };
-        let mut assignments = Vec::new();
-        if let Some(list) = e.child("listOfEventAssignments") {
-            for a in list.children_named("eventAssignment") {
-                assignments.push(EventAssignment::from_element(a)?);
-            }
-        }
+        let assignments = read_list(
+            e,
+            "listOfEventAssignments",
+            "eventAssignment",
+            EventAssignment::from_element,
+        )?;
         Ok(Event { id: opt_attr(e, "id"), name: opt_attr(e, "name"), trigger, delay, assignments })
     }
 
     /// Write to `<event>`.
-    pub fn to_element(&self) -> Element {
+    pub fn to_element(&self) -> Element<'_> {
         let mut e = Element::new("event");
         set_opt(&mut e, "id", &self.id);
         set_opt(&mut e, "name", &self.name);

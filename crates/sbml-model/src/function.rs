@@ -35,9 +35,9 @@ impl FunctionDefinition {
     }
 
     /// Read from `<functionDefinition>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         let id = req_attr(e, "id")?;
-        let math = req_math_child(e, &format!("functionDefinition {id:?}"))?;
+        let math = req_math_child(e, format_args!("functionDefinition {id:?}"))?;
         let MathExpr::Lambda { params, body } = math else {
             return Err(ModelError::structure(format!(
                 "functionDefinition {id:?} math must be a <lambda>"
@@ -47,8 +47,8 @@ impl FunctionDefinition {
     }
 
     /// Write to `<functionDefinition>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("functionDefinition").with_attr("id", self.id.clone());
+    pub fn to_element(&self) -> Element<'_> {
+        let mut e = Element::new("functionDefinition").with_attr("id", self.id.as_str());
         set_opt(&mut e, "name", &self.name);
         e.push_child(sbml_math::to_mathml(&self.as_lambda()));
         e

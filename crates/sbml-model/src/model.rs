@@ -13,7 +13,19 @@ use crate::function::FunctionDefinition;
 use crate::reaction::Reaction;
 use crate::rule::{Constraint, Rule};
 use crate::units_xml::{unit_definition_from_element, unit_definition_to_element};
-use crate::xmlutil::{opt_attr, req_attr, req_math_child, set_opt};
+use crate::xmlutil::{opt_attr, read_list, req_attr, req_math_child, set_opt};
+
+/// Every child of `<listOfRules>` (each names its rule kind), read in order.
+fn read_rules(e: &Element<'_>) -> Result<Vec<Rule>, ModelError> {
+    let Some(list) = e.child("listOfRules") else {
+        return Ok(Vec::new());
+    };
+    let mut rules = Vec::with_capacity(list.child_elements().count());
+    for c in list.child_elements() {
+        rules.push(Rule::from_element(c)?);
+    }
+    Ok(rules)
+}
 
 /// An initial assignment: `symbol := math` evaluated at time zero.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +38,7 @@ pub struct InitialAssignment {
 
 impl InitialAssignment {
     /// Read from `<initialAssignment>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         Ok(InitialAssignment {
             symbol: req_attr(e, "symbol")?,
             math: req_math_child(e, "initialAssignment")?,
@@ -34,9 +46,9 @@ impl InitialAssignment {
     }
 
     /// Write to `<initialAssignment>`.
-    pub fn to_element(&self) -> Element {
+    pub fn to_element(&self) -> Element<'_> {
         Element::new("initialAssignment")
-            .with_attr("symbol", self.symbol.clone())
+            .with_attr("symbol", self.symbol.as_str())
             .with_child(sbml_math::to_mathml(&self.math))
     }
 }
@@ -187,91 +199,71 @@ impl Model {
     }
 
     /// Read from a `<model>` element.
-    pub fn from_element(e: &Element) -> Result<Model, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Model, ModelError> {
         if e.name != "model" {
             return Err(ModelError::structure(format!("expected <model>, found <{}>", e.name)));
         }
-        let mut model = Model {
+        Ok(Model {
             id: opt_attr(e, "id").unwrap_or_default(),
             name: opt_attr(e, "name"),
-            ..Model::default()
-        };
-        if let Some(list) = e.child("listOfFunctionDefinitions") {
-            for c in list.children_named("functionDefinition") {
-                model.function_definitions.push(FunctionDefinition::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfUnitDefinitions") {
-            for c in list.children_named("unitDefinition") {
-                model.unit_definitions.push(unit_definition_from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfCompartmentTypes") {
-            for c in list.children_named("compartmentType") {
-                model.compartment_types.push(CompartmentType::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfSpeciesTypes") {
-            for c in list.children_named("speciesType") {
-                model.species_types.push(SpeciesType::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfCompartments") {
-            for c in list.children_named("compartment") {
-                model.compartments.push(Compartment::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfSpecies") {
-            for c in list.children_named("species") {
-                model.species.push(Species::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfParameters") {
-            for c in list.children_named("parameter") {
-                model.parameters.push(Parameter::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfInitialAssignments") {
-            for c in list.children_named("initialAssignment") {
-                model.initial_assignments.push(InitialAssignment::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfRules") {
-            for c in list.child_elements() {
-                model.rules.push(Rule::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfConstraints") {
-            for c in list.children_named("constraint") {
-                model.constraints.push(Constraint::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfReactions") {
-            for c in list.children_named("reaction") {
-                model.reactions.push(Reaction::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfEvents") {
-            for c in list.children_named("event") {
-                model.events.push(Event::from_element(c)?);
-            }
-        }
-        Ok(model)
+            function_definitions: read_list(
+                e,
+                "listOfFunctionDefinitions",
+                "functionDefinition",
+                FunctionDefinition::from_element,
+            )?,
+            unit_definitions: read_list(
+                e,
+                "listOfUnitDefinitions",
+                "unitDefinition",
+                unit_definition_from_element,
+            )?,
+            compartment_types: read_list(
+                e,
+                "listOfCompartmentTypes",
+                "compartmentType",
+                CompartmentType::from_element,
+            )?,
+            species_types: read_list(
+                e,
+                "listOfSpeciesTypes",
+                "speciesType",
+                SpeciesType::from_element,
+            )?,
+            compartments: read_list(
+                e,
+                "listOfCompartments",
+                "compartment",
+                Compartment::from_element,
+            )?,
+            species: read_list(e, "listOfSpecies", "species", Species::from_element)?,
+            parameters: read_list(e, "listOfParameters", "parameter", Parameter::from_element)?,
+            initial_assignments: read_list(
+                e,
+                "listOfInitialAssignments",
+                "initialAssignment",
+                InitialAssignment::from_element,
+            )?,
+            rules: read_rules(e)?,
+            constraints: read_list(e, "listOfConstraints", "constraint", Constraint::from_element)?,
+            reactions: read_list(e, "listOfReactions", "reaction", Reaction::from_element)?,
+            events: read_list(e, "listOfEvents", "event", Event::from_element)?,
+        })
     }
 
     /// Write to a `<model>` element.
-    pub fn to_element(&self) -> Element {
+    pub fn to_element(&self) -> Element<'_> {
         let mut e = Element::new("model");
         if !self.id.is_empty() {
-            e.set_attr("id", self.id.clone());
+            e.set_attr("id", self.id.as_str());
         }
         set_opt(&mut e, "name", &self.name);
 
-        fn push_list<T>(
-            parent: &mut Element,
-            list_name: &str,
-            items: &[T],
-            to_el: impl Fn(&T) -> Element,
+        fn push_list<'a, T>(
+            parent: &mut Element<'a>,
+            list_name: &'static str,
+            items: &'a [T],
+            to_el: impl Fn(&'a T) -> Element<'a>,
         ) {
             if !items.is_empty() {
                 let mut list = Element::new(list_name);

@@ -5,7 +5,7 @@ use sbml_xml::Element;
 
 use crate::components::Parameter;
 use crate::error::ModelError;
-use crate::xmlutil::{bool_attr, opt_attr, opt_f64, req_attr, req_math_child, set_opt};
+use crate::xmlutil::{bool_attr, opt_attr, opt_f64, read_list, req_attr, req_math_child, set_opt};
 
 /// A (reactant or product) species reference with stoichiometry.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +30,7 @@ impl SpeciesReference {
     }
 
     /// Read from `<speciesReference>` / `<modifierSpeciesReference>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         Ok(SpeciesReference {
             species: req_attr(e, "species")?,
             stoichiometry: opt_f64(e, "stoichiometry")?.unwrap_or(1.0),
@@ -38,8 +38,8 @@ impl SpeciesReference {
     }
 
     /// Write to the given element name.
-    pub fn to_element(&self, name: &str) -> Element {
-        let mut e = Element::new(name).with_attr("species", self.species.clone());
+    pub fn to_element<'a>(&'a self, name: &'a str) -> Element<'a> {
+        let mut e = Element::new(name).with_attr("species", self.species.as_str());
         if self.stoichiometry != 1.0 {
             e.set_attr("stoichiometry", sbml_math::writer::format_number(self.stoichiometry));
         }
@@ -64,18 +64,13 @@ impl KineticLaw {
 
     /// Read from `<kineticLaw>`.
     pub fn from_element(e: &Element, reaction_id: &str) -> Result<Self, ModelError> {
-        let math = req_math_child(e, &format!("reaction {reaction_id:?} kineticLaw"))?;
-        let mut parameters = Vec::new();
-        if let Some(list) = e.child("listOfParameters") {
-            for p in list.children_named("parameter") {
-                parameters.push(Parameter::from_element(p)?);
-            }
-        }
+        let math = req_math_child(e, format_args!("reaction {reaction_id:?} kineticLaw"))?;
+        let parameters = read_list(e, "listOfParameters", "parameter", Parameter::from_element)?;
         Ok(KineticLaw { math, parameters })
     }
 
     /// Write to `<kineticLaw>`.
-    pub fn to_element(&self) -> Element {
+    pub fn to_element(&self) -> Element<'_> {
         let mut e = Element::new("kineticLaw").with_child(sbml_math::to_mathml(&self.math));
         if !self.parameters.is_empty() {
             let mut list = Element::new("listOfParameters");
@@ -132,48 +127,34 @@ impl Reaction {
     }
 
     /// Read from `<reaction>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         let id = req_attr(e, "id")?;
-        let mut reaction = Reaction {
-            id: id.clone(),
-            name: opt_attr(e, "name"),
-            reversible: bool_attr(e, "reversible", true)?,
-            fast: bool_attr(e, "fast", false)?,
-            reactants: Vec::new(),
-            products: Vec::new(),
-            modifiers: Vec::new(),
-            kinetic_law: None,
+        let name = opt_attr(e, "name");
+        let reversible = bool_attr(e, "reversible", true)?;
+        let fast = bool_attr(e, "fast", false)?;
+        let read_refs = |list, tag| read_list(e, list, tag, SpeciesReference::from_element);
+        let reactants = read_refs("listOfReactants", "speciesReference")?;
+        let products = read_refs("listOfProducts", "speciesReference")?;
+        let modifiers = read_refs("listOfModifiers", "modifierSpeciesReference")?;
+        let kinetic_law = match e.child("kineticLaw") {
+            Some(kl) => Some(KineticLaw::from_element(kl, &id)?),
+            None => None,
         };
-        if let Some(list) = e.child("listOfReactants") {
-            for r in list.children_named("speciesReference") {
-                reaction.reactants.push(SpeciesReference::from_element(r)?);
-            }
-        }
-        if let Some(list) = e.child("listOfProducts") {
-            for p in list.children_named("speciesReference") {
-                reaction.products.push(SpeciesReference::from_element(p)?);
-            }
-        }
-        if let Some(list) = e.child("listOfModifiers") {
-            for m in list.children_named("modifierSpeciesReference") {
-                reaction.modifiers.push(SpeciesReference::from_element(m)?);
-            }
-        }
-        if let Some(kl) = e.child("kineticLaw") {
-            reaction.kinetic_law = Some(KineticLaw::from_element(kl, &id)?);
-        }
-        Ok(reaction)
+        Ok(Reaction { id, name, reversible, fast, reactants, products, modifiers, kinetic_law })
     }
 
     /// Write to `<reaction>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("reaction").with_attr("id", self.id.clone());
+    pub fn to_element<'a>(&'a self) -> Element<'a> {
+        let mut e = Element::new("reaction").with_attr("id", self.id.as_str());
         set_opt(&mut e, "name", &self.name);
         e.set_attr("reversible", if self.reversible { "true" } else { "false" });
         if self.fast {
             e.set_attr("fast", "true");
         }
-        let push_list = |e: &mut Element, list_name: &str, refs: &[SpeciesReference], tag: &str| {
+        let push_list = |e: &mut Element<'a>,
+                         list_name: &'static str,
+                         refs: &'a [SpeciesReference],
+                         tag: &'static str| {
             if !refs.is_empty() {
                 let mut list = Element::new(list_name);
                 for r in refs {

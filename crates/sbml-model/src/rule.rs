@@ -58,8 +58,8 @@ impl Rule {
     }
 
     /// Read from one of the three rule elements.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        match e.name.as_str() {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
+        match e.name.as_ref() {
             "algebraicRule" => {
                 Ok(Rule::Algebraic { math: req_math_child(e, "algebraicRule")? })
             }
@@ -76,16 +76,16 @@ impl Rule {
     }
 
     /// Write to the appropriate rule element.
-    pub fn to_element(&self) -> Element {
+    pub fn to_element(&self) -> Element<'_> {
         match self {
             Rule::Algebraic { math } => {
                 Element::new("algebraicRule").with_child(sbml_math::to_mathml(math))
             }
             Rule::Assignment { variable, math } => Element::new("assignmentRule")
-                .with_attr("variable", variable.clone())
+                .with_attr("variable", variable.as_str())
                 .with_child(sbml_math::to_mathml(math)),
             Rule::Rate { variable, math } => Element::new("rateRule")
-                .with_attr("variable", variable.clone())
+                .with_attr("variable", variable.as_str())
                 .with_child(sbml_math::to_mathml(math)),
         }
     }
@@ -102,17 +102,17 @@ pub struct Constraint {
 
 impl Constraint {
     /// Read from `<constraint>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
+    pub fn from_element(e: &Element<'_>) -> Result<Self, ModelError> {
         let math = req_math_child(e, "constraint")?;
         let message = e.child("message").map(|m| m.text().trim().to_owned());
         Ok(Constraint { math, message })
     }
 
     /// Write to `<constraint>`.
-    pub fn to_element(&self) -> Element {
+    pub fn to_element(&self) -> Element<'_> {
         let mut e = Element::new("constraint").with_child(sbml_math::to_mathml(&self.math));
         if let Some(msg) = &self.message {
-            e.push_child(Element::new("message").with_text(msg.clone()));
+            e.push_child(Element::new("message").with_text(msg.as_str()));
         }
         e
     }

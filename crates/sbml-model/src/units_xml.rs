@@ -4,36 +4,33 @@ use sbml_units::{Unit, UnitDefinition, UnitKind};
 use sbml_xml::Element;
 
 use crate::error::ModelError;
-use crate::xmlutil::{opt_attr, opt_f64, opt_i32, req_attr};
+use crate::xmlutil::{opt_attr, opt_f64, opt_i32, read_list, req_attr, req_str};
 
 /// Read `<unitDefinition>`.
-pub fn unit_definition_from_element(e: &Element) -> Result<UnitDefinition, ModelError> {
+pub fn unit_definition_from_element(e: &Element<'_>) -> Result<UnitDefinition, ModelError> {
     let id = req_attr(e, "id")?;
-    let mut units = Vec::new();
-    if let Some(list) = e.child("listOfUnits") {
-        for u in list.children_named("unit") {
-            let kind_raw = req_attr(u, "kind")?;
-            let kind = UnitKind::parse(&kind_raw).ok_or_else(|| {
-                ModelError::structure(format!("unitDefinition {id:?}: unknown unit kind {kind_raw:?}"))
-            })?;
-            units.push(Unit {
-                kind,
-                exponent: opt_i32(u, "exponent")?.unwrap_or(1),
-                scale: opt_i32(u, "scale")?.unwrap_or(0),
-                multiplier: opt_f64(u, "multiplier")?.unwrap_or(1.0),
-            });
-        }
-    }
+    let units = read_list(e, "listOfUnits", "unit", |u| {
+        let kind_raw = req_str(u, "kind")?;
+        let kind = UnitKind::parse(kind_raw).ok_or_else(|| {
+            ModelError::structure(format!("unitDefinition {id:?}: unknown unit kind {kind_raw:?}"))
+        })?;
+        Ok(Unit {
+            kind,
+            exponent: opt_i32(u, "exponent")?.unwrap_or(1),
+            scale: opt_i32(u, "scale")?.unwrap_or(0),
+            multiplier: opt_f64(u, "multiplier")?.unwrap_or(1.0),
+        })
+    })?;
     let mut def = UnitDefinition::new(id, units);
     def.name = opt_attr(e, "name");
     Ok(def)
 }
 
 /// Write `<unitDefinition>`.
-pub fn unit_definition_to_element(def: &UnitDefinition) -> Element {
-    let mut e = Element::new("unitDefinition").with_attr("id", def.id.clone());
+pub fn unit_definition_to_element(def: &UnitDefinition) -> Element<'_> {
+    let mut e = Element::new("unitDefinition").with_attr("id", def.id.as_str());
     if let Some(name) = &def.name {
-        e.set_attr("name", name.clone());
+        e.set_attr("name", name.as_str());
     }
     if !def.units.is_empty() {
         let mut list = Element::new("listOfUnits");

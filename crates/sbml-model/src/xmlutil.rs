@@ -1,23 +1,35 @@
 //! Shared attribute-parsing helpers for the XML binding.
+//!
+//! Reading makes exactly the copies the `Model` keeps: attribute values
+//! are borrowed from the parsed tree until [`req_attr`]/[`opt_attr`] copy
+//! them out, lists are sized before they are filled, and error contexts
+//! are formatted only when an error is raised.
+
+use std::fmt;
 
 use sbml_xml::Element;
 
 use crate::error::ModelError;
 
-/// Required string attribute.
-pub(crate) fn req_attr(e: &Element, key: &str) -> Result<String, ModelError> {
-    e.attr(key).map(str::to_owned).ok_or_else(|| {
+/// Required string attribute, borrowed.
+pub(crate) fn req_str<'e>(e: &'e Element<'_>, key: &str) -> Result<&'e str, ModelError> {
+    e.attr(key).ok_or_else(|| {
         ModelError::structure(format!("<{}> missing required attribute {key:?}", e.name))
     })
 }
 
+/// Required string attribute.
+pub(crate) fn req_attr(e: &Element<'_>, key: &str) -> Result<String, ModelError> {
+    req_str(e, key).map(str::to_owned)
+}
+
 /// Optional string attribute.
-pub(crate) fn opt_attr(e: &Element, key: &str) -> Option<String> {
+pub(crate) fn opt_attr(e: &Element<'_>, key: &str) -> Option<String> {
     e.attr(key).map(str::to_owned)
 }
 
 /// Optional f64 attribute.
-pub(crate) fn opt_f64(e: &Element, key: &str) -> Result<Option<f64>, ModelError> {
+pub(crate) fn opt_f64(e: &Element<'_>, key: &str) -> Result<Option<f64>, ModelError> {
     match e.attr(key) {
         None => Ok(None),
         Some(raw) => raw.trim().parse::<f64>().map(Some).map_err(|_| {
@@ -27,7 +39,7 @@ pub(crate) fn opt_f64(e: &Element, key: &str) -> Result<Option<f64>, ModelError>
 }
 
 /// Optional bool attribute with a default.
-pub(crate) fn bool_attr(e: &Element, key: &str, default: bool) -> Result<bool, ModelError> {
+pub(crate) fn bool_attr(e: &Element<'_>, key: &str, default: bool) -> Result<bool, ModelError> {
     match e.attr(key) {
         None => Ok(default),
         Some("true") | Some("1") => Ok(true),
@@ -40,7 +52,7 @@ pub(crate) fn bool_attr(e: &Element, key: &str, default: bool) -> Result<bool, M
 }
 
 /// Optional i32 attribute.
-pub(crate) fn opt_i32(e: &Element, key: &str) -> Result<Option<i32>, ModelError> {
+pub(crate) fn opt_i32(e: &Element<'_>, key: &str) -> Result<Option<i32>, ModelError> {
     match e.attr(key) {
         None => Ok(None),
         Some(raw) => raw.trim().parse::<i32>().map(Some).map_err(|_| {
@@ -49,40 +61,49 @@ pub(crate) fn opt_i32(e: &Element, key: &str) -> Result<Option<i32>, ModelError>
     }
 }
 
-/// Set an attribute only when the value is present.
-pub(crate) fn set_opt(e: &mut Element, key: &str, value: &Option<String>) {
+/// The elements named `item` inside `parent`'s child `list`, each read
+/// with `read`, in an exactly sized vector (empty when `list` is absent).
+pub(crate) fn read_list<T>(
+    parent: &Element<'_>,
+    list: &str,
+    item: &str,
+    read: impl Fn(&Element<'_>) -> Result<T, ModelError>,
+) -> Result<Vec<T>, ModelError> {
+    let Some(list) = parent.child(list) else {
+        return Ok(Vec::new());
+    };
+    let mut out = Vec::with_capacity(list.children_named(item).count());
+    for element in list.children_named(item) {
+        out.push(read(element)?);
+    }
+    Ok(out)
+}
+
+/// Set an attribute, borrowing the value, only when it is present.
+pub(crate) fn set_opt<'a>(e: &mut Element<'a>, key: &'static str, value: &'a Option<String>) {
     if let Some(v) = value {
-        e.set_attr(key, v.clone());
+        e.set_attr(key, v.as_str());
     }
 }
 
 /// Set a float attribute only when present, using shortest representation.
-pub(crate) fn set_opt_f64(e: &mut Element, key: &str, value: Option<f64>) {
+pub(crate) fn set_opt_f64(e: &mut Element<'_>, key: &'static str, value: Option<f64>) {
     if let Some(v) = value {
         e.set_attr(key, sbml_math::writer::format_number(v));
     }
 }
 
-/// Parse the single `<math>` child of an element, with context for errors.
-pub(crate) fn parse_math_child(
-    e: &Element,
-    context: &str,
-) -> Result<Option<sbml_math::MathExpr>, ModelError> {
+/// Parse the required `<math>` child of an element, with context for
+/// errors (formatted only if there is one).
+pub(crate) fn req_math_child(
+    e: &Element<'_>,
+    context: impl fmt::Display,
+) -> Result<sbml_math::MathExpr, ModelError> {
     let Some(math) = e.child("math") else {
-        return Ok(None);
+        return Err(ModelError::structure(format!("{context}: missing <math> child")));
     };
     sbml_math::parse_mathml(math)
-        .map(Some)
-        .map_err(|source| ModelError::Math { context: context.to_owned(), source })
-}
-
-/// Required `<math>` child.
-pub(crate) fn req_math_child(
-    e: &Element,
-    context: &str,
-) -> Result<sbml_math::MathExpr, ModelError> {
-    parse_math_child(e, context)?
-        .ok_or_else(|| ModelError::structure(format!("{context}: missing <math> child")))
+        .map_err(|source| ModelError::Math { context: context.to_string(), source })
 }
 
 #[cfg(test)]
@@ -117,7 +138,10 @@ mod tests {
         assert_eq!(m, sbml_math::MathExpr::ci("k"));
 
         let empty = parse_element("<kineticLaw/>").unwrap();
-        assert!(parse_math_child(&empty, "test").unwrap().is_none());
-        assert!(req_math_child(&empty, "test").is_err());
+        let err = req_math_child(&empty, format_args!("reaction {:?} kineticLaw", "r1"));
+        assert_eq!(
+            err.unwrap_err(),
+            ModelError::structure("reaction \"r1\" kineticLaw: missing <math> child")
+        );
     }
 }

@@ -4,40 +4,40 @@
 //! plus decimal (`&#38;`) and hexadecimal (`&#x26;`) character references,
 //! which appear in real BioModels SBML files inside notes and names.
 
+use std::borrow::Cow;
+
 use crate::error::{Position, XmlError};
 
-/// Escape text content: `&`, `<`, `>` are replaced. Quotes are left alone,
-/// which is valid in text nodes and keeps output readable.
-pub fn escape_text(s: &str) -> String {
-    escape(s, false)
+/// Escape text content straight into `out`: `&`, `<`, `>` are replaced.
+/// Quotes are left alone, which is valid in text nodes and keeps output
+/// readable.
+pub fn escape_text_into(out: &mut String, s: &str) {
+    escape_into(out, s, false);
 }
 
-/// Escape an attribute value for inclusion in double quotes:
-/// `&`, `<`, `>`, `"` are replaced.
-pub fn escape_attr(s: &str) -> String {
-    escape(s, true)
+/// Escape an attribute value for inclusion in double quotes, straight
+/// into `out`: `&`, `<`, `>`, `"` and `'` are replaced.
+pub fn escape_attr_into(out: &mut String, s: &str) {
+    escape_into(out, s, true);
 }
 
-fn escape(s: &str, quotes: bool) -> String {
-    // Fast path: no escapable characters at all (the common case for ids).
-    if !s
-        .bytes()
-        .any(|b| b == b'&' || b == b'<' || b == b'>' || (quotes && (b == b'"' || b == b'\'')))
-    {
-        return s.to_owned();
+fn escape_into(out: &mut String, s: &str, quotes: bool) {
+    // Every escapable character is ASCII, so `i` is always a char boundary.
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quotes => "&quot;",
+            b'\'' if quotes => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        out.push_str(entity);
+        clean = i + 1;
     }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if quotes => out.push_str("&quot;"),
-            '\'' if quotes => out.push_str("&apos;"),
-            other => out.push(other),
-        }
-    }
-    out
+    out.push_str(&s[clean..]);
 }
 
 /// Resolve a single entity body (the text between `&` and `;`).
@@ -65,12 +65,18 @@ pub fn resolve_entity(body: &str) -> Option<char> {
 
 /// Unescape a run of character data, resolving entity references.
 ///
-/// `at` is the position of the start of `s`, used for error reporting only
-/// (column arithmetic inside the run is approximate for multi-line runs; the
-/// tokenizer always reports the run start).
-pub fn unescape(s: &str, at: Position) -> Result<String, XmlError> {
+/// Borrows `s` unchanged when it holds no `&`. `at` is the position of the
+/// start of `s`, used for error reporting only (the tokenizer always
+/// reports the run start).
+pub fn unescape(s: &str, at: Position) -> Result<Cow<'_, str>, XmlError> {
+    unescape_or_entity(s).map_err(|entity| XmlError::BadEntity { entity, at })
+}
+
+/// [`unescape`] without a position: the error is the offending entity
+/// text, so callers compute a position only when one is needed.
+pub(crate) fn unescape_or_entity(s: &str) -> Result<Cow<'_, str>, String> {
     if !s.contains('&') {
-        return Ok(s.to_owned());
+        return Ok(Cow::Borrowed(s));
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -78,21 +84,21 @@ pub fn unescape(s: &str, at: Position) -> Result<String, XmlError> {
         out.push_str(&rest[..amp]);
         let after = &rest[amp + 1..];
         let Some(semi) = after.find(';') else {
-            return Err(XmlError::BadEntity { entity: truncate(after), at });
+            return Err(truncate(after));
         };
         let body = &after[..semi];
         // Entity bodies are short; anything long is certainly malformed.
         if body.len() > 12 {
-            return Err(XmlError::BadEntity { entity: truncate(body), at });
+            return Err(truncate(body));
         }
         let Some(c) = resolve_entity(body) else {
-            return Err(XmlError::BadEntity { entity: body.to_owned(), at });
+            return Err(body.to_owned());
         };
         out.push(c);
         rest = &after[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 fn truncate(s: &str) -> String {
@@ -103,12 +109,33 @@ fn truncate(s: &str) -> String {
 mod tests {
     use super::*;
 
+    fn escape_text(s: &str) -> String {
+        let mut out = String::new();
+        escape_text_into(&mut out, s);
+        out
+    }
+
+    fn escape_attr(s: &str) -> String {
+        let mut out = String::new();
+        escape_attr_into(&mut out, s);
+        out
+    }
+
     #[test]
     fn escape_text_basics() {
         assert_eq!(escape_text("a<b&c>d"), "a&lt;b&amp;c&gt;d");
         assert_eq!(escape_text("plain"), "plain");
+        assert_eq!(escape_text(""), "");
+        assert_eq!(escape_text("α<β"), "α&lt;β");
         // Quotes untouched in text context.
         assert_eq!(escape_text("say \"hi\""), "say \"hi\"");
+    }
+
+    #[test]
+    fn escape_appends_to_existing_output() {
+        let mut out = String::from("<p v=\"");
+        escape_attr_into(&mut out, "1&2");
+        assert_eq!(out, "<p v=\"1&amp;2");
     }
 
     #[test]
@@ -149,7 +176,9 @@ mod tests {
 
     #[test]
     fn unescape_plain_fast_path() {
-        assert_eq!(unescape("no entities", Position::START).unwrap(), "no entities");
+        let plain = unescape("no entities", Position::START).unwrap();
+        assert!(matches!(plain, Cow::Borrowed("no entities")));
+        assert!(matches!(unescape("a&amp;b", Position::START).unwrap(), Cow::Owned(_)));
     }
 
     #[test]

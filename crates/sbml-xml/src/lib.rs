@@ -6,10 +6,12 @@
 //! from first principles:
 //!
 //! * [`tokenizer`] — a pull tokenizer producing a stream of
-//!   [`tokenizer::Token`]s with line/column positions,
+//!   [`tokenizer::Token`]s that borrow from the input, with line/column
+//!   positions,
 //! * [`dom`] — an ordered-attribute DOM ([`Element`]/[`Node`]) built from the
-//!   token stream, with navigation and mutation helpers tailored to the merge
-//!   algorithms in `sbml-compose`,
+//!   token stream, whose names, attributes and text are `Cow<'a, str>`: a
+//!   parsed tree borrows from the input and a built tree can borrow from the
+//!   data it serializes,
 //! * [`writer`] — compact and pretty serializers that round-trip documents,
 //! * [`escape`] — entity escaping/unescaping including numeric character
 //!   references.
@@ -40,21 +42,22 @@ pub mod escape;
 pub mod tokenizer;
 pub mod writer;
 
-pub use dom::{Document, Element, Node};
+pub use dom::{Children, Document, Element, Node, NodeRef};
 pub use error::{Position, XmlError};
-pub use tokenizer::{Token, Tokenizer};
+pub use tokenizer::{Attribute, Token, Tokenizer};
 pub use writer::{write_compact, write_pretty, WriteOptions};
 
-/// Parse a complete XML document into a DOM [`Document`].
+/// Parse a complete XML document into a DOM [`Document`] that borrows from
+/// `input`.
 ///
 /// Returns an error when the input is not well formed (mismatched tags,
 /// bad entities, stray content after the root element, ...).
-pub fn parse_document(input: &str) -> Result<Document, XmlError> {
+pub fn parse_document(input: &str) -> Result<Document<'_>, XmlError> {
     dom::Document::parse(input)
 }
 
 /// Parse a single XML element (fragment); leading/trailing whitespace,
 /// comments and processing instructions around it are permitted.
-pub fn parse_element(input: &str) -> Result<Element, XmlError> {
+pub fn parse_element(input: &str) -> Result<Element<'_>, XmlError> {
     Ok(dom::Document::parse(input)?.root)
 }

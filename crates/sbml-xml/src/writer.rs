@@ -4,10 +4,8 @@
 //! for canonical comparison) and [`write_pretty`] (indented; suitable for
 //! human inspection and the paper's §4.1.1 textual evaluation).
 
-use std::fmt::Write as _;
-
-use crate::dom::{Document, Element, Node};
-use crate::escape::{escape_attr, escape_text};
+use crate::dom::{Document, Element, NodeRef};
+use crate::escape::{escape_attr_into, escape_text_into};
 
 /// Options controlling serialization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,21 +23,23 @@ impl Default for WriteOptions {
 }
 
 /// Serialize a document compactly (no inserted whitespace).
-pub fn write_compact(doc: &Document) -> String {
+pub fn write_compact(doc: &Document<'_>) -> String {
     write_with(doc, WriteOptions { indent: None, declaration: true })
 }
 
 /// Serialize a document with 2-space indentation.
-pub fn write_pretty(doc: &Document) -> String {
+pub fn write_pretty(doc: &Document<'_>) -> String {
     write_with(doc, WriteOptions::default())
 }
 
 /// Serialize with explicit options.
-pub fn write_with(doc: &Document, opts: WriteOptions) -> String {
+pub fn write_with(doc: &Document<'_>, opts: WriteOptions) -> String {
     let mut out = String::with_capacity(256);
     if opts.declaration {
         if let Some(decl) = &doc.declaration {
-            let _ = write!(out, "<?xml {decl}?>");
+            out.push_str("<?xml ");
+            out.push_str(decl);
+            out.push_str("?>");
             if opts.indent.is_some() {
                 out.push('\n');
             }
@@ -54,60 +54,68 @@ pub fn write_with(doc: &Document, opts: WriteOptions) -> String {
 
 /// Serialize a single element (compact). Useful for canonical signatures of
 /// subtrees, e.g. kinetic-law math during merging.
-pub fn element_to_string(element: &Element) -> String {
+pub fn element_to_string(element: &Element<'_>) -> String {
     let mut out = String::with_capacity(64);
     write_element(&mut out, element, 0, None);
     out
 }
 
-fn write_element(out: &mut String, e: &Element, depth: usize, indent: Option<usize>) {
+fn write_element(out: &mut String, e: &Element<'_>, depth: usize, indent: Option<usize>) {
     pad(out, depth, indent);
     out.push('<');
     out.push_str(&e.name);
     for (k, v) in &e.attrs {
-        let _ = write!(out, " {k}=\"{}\"", escape_attr(v));
+        out.push(' ');
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_attr_into(out, v);
+        out.push('"');
     }
 
     // Significant children: everything except ignorable whitespace when
     // pretty-printing (whitespace-only text is re-generated by indentation).
-    let significant: Vec<&Node> = e
-        .children
-        .iter()
-        .filter(|n| match n {
-            Node::Text(t) => indent.is_none() || !t.trim().is_empty(),
-            _ => true,
-        })
-        .collect();
+    let significant = e.children.iter().filter(|n| match n {
+        NodeRef::Text(t) => indent.is_none() || !t.trim().is_empty(),
+        _ => true,
+    });
 
-    if significant.is_empty() {
+    // Mixed/text content is written inline to avoid corrupting text with
+    // indentation whitespace.
+    let mut has_text = false;
+    let mut any = false;
+    for node in significant.clone() {
+        any = true;
+        has_text |= matches!(node, NodeRef::Text(_) | NodeRef::CData(_));
+    }
+    if !any {
         out.push_str("/>");
         return;
     }
     out.push('>');
-
-    // Mixed/text content is written inline to avoid corrupting text with
-    // indentation whitespace.
-    let has_text = significant.iter().any(|n| matches!(n, Node::Text(_) | Node::CData(_)));
     let child_indent = if has_text { None } else { indent };
 
-    for node in &significant {
+    for node in significant {
         match node {
-            Node::Element(child) => {
+            NodeRef::Element(child) => {
                 if child_indent.is_some() {
                     out.push('\n');
                 }
                 write_element(out, child, depth + 1, child_indent);
             }
-            Node::Text(t) => out.push_str(&escape_text(t)),
-            Node::CData(t) => {
-                let _ = write!(out, "<![CDATA[{t}]]>");
+            NodeRef::Text(t) => escape_text_into(out, t),
+            NodeRef::CData(t) => {
+                out.push_str("<![CDATA[");
+                out.push_str(t);
+                out.push_str("]]>");
             }
-            Node::Comment(t) => {
+            NodeRef::Comment(t) => {
                 if child_indent.is_some() {
                     out.push('\n');
                     pad(out, depth + 1, child_indent);
                 }
-                let _ = write!(out, "<!--{t}-->");
+                out.push_str("<!--");
+                out.push_str(t);
+                out.push_str("-->");
             }
         }
     }
@@ -208,7 +216,7 @@ mod tests {
         let reparsed = Document::parse(&pretty).unwrap();
         // Compare compact forms after stripping whitespace text nodes.
         fn strip(e: &mut crate::dom::Element) {
-            e.children.retain(|n| !matches!(n, crate::dom::Node::Text(t) if t.trim().is_empty()));
+            e.children.retain(|n| !matches!(n, NodeRef::Text(t) if t.trim().is_empty()));
             for c in e.child_elements_mut() {
                 strip(c);
             }

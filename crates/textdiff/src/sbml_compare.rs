@@ -16,7 +16,9 @@
 //!
 //! Attribute order is never significant in XML and is sorted everywhere.
 
-use sbml_xml::{Document, Element, Node};
+use std::borrow::Cow;
+
+use sbml_xml::{Document, Element, Node, NodeRef};
 
 use crate::myers::unified;
 
@@ -44,31 +46,31 @@ fn order_relevant(name: &str) -> bool {
 /// The sort key of an element under an order-irrelevant parent: tag name,
 /// then the first identifying attribute, then the full serialized form as a
 /// tiebreaker (so equal-id duplicates still sort deterministically).
-fn sort_key(e: &Element) -> (String, String, String) {
+fn sort_key<'e>(e: &'e Element<'_>) -> (&'e str, &'e str, String) {
     let ident = ["id", "species", "symbol", "variable", "kind", "name"]
         .iter()
         .find_map(|k| e.attr(k))
-        .unwrap_or("")
-        .to_owned();
-    (e.name.clone(), ident, sbml_xml::writer::element_to_string(e))
+        .unwrap_or("");
+    (&e.name, ident, sbml_xml::writer::element_to_string(e))
 }
 
-/// Canonicalise an SBML element tree for comparison.
-pub fn normalize_element(e: &Element) -> Element {
-    let mut out = Element::new(e.name.clone());
-    out.attrs = e.attrs.clone();
+/// Canonicalise an SBML element tree for comparison; the result borrows
+/// its names and text from `e`.
+pub fn normalize_element<'e>(e: &'e Element<'_>) -> Element<'e> {
+    let mut out = Element::new(e.name.as_ref());
+    out.attrs = e.attrs.iter().map(|(k, v)| (Cow::Borrowed(&**k), Cow::Borrowed(&**v))).collect();
     out.attrs.sort();
 
     // Normalise children recursively, dropping comments and
     // whitespace-only text (serialization artefacts).
     let mut kids: Vec<Node> = Vec::with_capacity(e.children.len());
-    for child in &e.children {
+    for child in e.children.iter() {
         match child {
-            Node::Element(el) => kids.push(Node::Element(normalize_element(el))),
-            Node::Text(t) if t.trim().is_empty() => {}
-            Node::Text(t) => kids.push(Node::Text(t.trim().to_owned())),
-            Node::CData(t) => kids.push(Node::CData(t.clone())),
-            Node::Comment(_) => {}
+            NodeRef::Element(el) => kids.push(Node::Element(normalize_element(el))),
+            NodeRef::Text(t) if t.trim().is_empty() => {}
+            NodeRef::Text(t) => kids.push(Node::Text(Cow::Borrowed(t.trim()))),
+            NodeRef::CData(t) => kids.push(Node::CData(Cow::Borrowed(t))),
+            NodeRef::Comment(_) => {}
         }
     }
     if !order_relevant(&e.name) {
@@ -79,7 +81,7 @@ pub fn normalize_element(e: &Element) -> Element {
             (x, y) => x.as_text().cmp(&y.as_text()),
         });
     }
-    out.children = kids;
+    out.children = kids.into();
     out
 }
 
