@@ -59,16 +59,16 @@ panic_audit() {
         exit 1
     fi
 }
-panic_audit crates/sbml-compose/src/pipeline.rs 20
 panic_audit crates/sbml-compose/src/batch.rs 6
-# session.rs 12 -> 14 with the COW/pool refactor: two audited invariant
-# expects (the installed session pool; the shared accumulator's base).
-panic_audit crates/sbml-compose/src/session.rs 14
-# New fan-out modules after the worker-pool refactor: the pool itself
-# (spawn + chunking expects, two injected-panic test sites) and the
-# parallel incoming-key build in prepared.rs.
+# session.rs: one audited invariant expect (the shared accumulator's
+# base) plus test fixtures; 14 -> 12 when the session pool and the
+# pipelined merge rung were deleted.
+panic_audit crates/sbml-compose/src/session.rs 12
+# The pool itself (spawn + chunking expects, two injected-panic test
+# sites) and prepared.rs (test fixtures only; 17 -> 9 when the parallel
+# incoming-key build was deleted).
 panic_audit crates/sbml-compose/src/pool.rs 4
-panic_audit crates/sbml-compose/src/prepared.rs 17
+panic_audit crates/sbml-compose/src/prepared.rs 9
 panic_audit crates/sbml-match/src/index.rs 0
 panic_audit crates/sbml-match/src/vf2.rs 3
 # The SBML read path parses every daemon request payload: the byte-level
@@ -152,15 +152,14 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "== pipeline conflict benchmark (writes BENCH_pipeline.json) =="
     cargo run --release -p compose-bench --bin pipeline_conflict
 
-    # Perf gate: the pipelined engine (merge-pass dependency DAG at 4
-    # configured threads + incremental cached-key renaming) must stay
-    # >= 1.5x faster than the serial full-recompute engine on the
-    # conflict-heavy corpus chain. BENCH_pipeline.json records the
-    # configured threads and the host parallelism the run actually had.
-    speedup=$(grep -o '"speedup_pipelined_vs_serial": [0-9.]*' BENCH_pipeline.json | grep -o '[0-9.]*$')
-    echo "conflict-corpus pipelined speedup: ${speedup}x (gate: >= 1.5)"
+    # Perf gate: incremental cached-key renaming must keep the
+    # conflict-heavy corpus chain >= 1.5x faster than full re-keying, both
+    # on the serial merge passes. BENCH_pipeline.json records the host
+    # parallelism the run had.
+    speedup=$(grep -o '"speedup_incremental_rename": [0-9.]*' BENCH_pipeline.json | grep -o '[0-9.]*$')
+    echo "conflict-corpus incremental-rename speedup: ${speedup}x (gate: >= 1.5)"
     awk -v s="$speedup" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' || {
-        echo "FAIL: pipelined-vs-serial speedup regressed below 1.5x" >&2
+        echo "FAIL: incremental-rename vs full re-key speedup regressed below 1.5x" >&2
         exit 1
     }
 

@@ -431,8 +431,7 @@ pub const CONFLICT_ALIASES: usize = 8;
 /// Deterministic and RNG-free: `corpus_conflict(n)` returns byte-identical
 /// models on every call. Each model has 257 keyed components (64 + 8
 /// species, 64 reactions, 48 rules, 24 constraints, 32 events, 16
-/// functions, one compartment), which also clears the default
-/// `parallel_push_threshold` of 256.
+/// functions, one compartment).
 pub fn corpus_conflict(n: usize) -> Vec<Model> {
     (0..n).map(conflict_model).collect()
 }
@@ -816,20 +815,23 @@ mod tests {
     }
 
     #[test]
-    fn conflict_corpus_pipelined_equals_serial() {
-        let models = corpus_conflict(2);
-        let serial_opts = sbml_compose::ComposeOptions::default()
-            .with_merge_pipeline(false)
-            .with_parallel_push_threshold(0);
-        let pipelined_opts = sbml_compose::ComposeOptions::default()
-            .with_parallel_push_threshold(0)
-            .with_pipeline_threads(4);
-        let serial = sbml_compose::Composer::new(serial_opts).compose(&models[0], &models[1]);
-        let pipelined =
-            sbml_compose::Composer::new(pipelined_opts).compose(&models[0], &models[1]);
-        assert_eq!(pipelined.model, serial.model);
-        assert_eq!(pipelined.log.events, serial.log.events);
-        assert_eq!(pipelined.mappings, serial.mappings);
+    fn conflict_corpus_incremental_rename_equals_full_rekey() {
+        // Prepared pushes carry the cached keys the rename revalidates;
+        // the full re-key ablation must land on the same bytes.
+        let models = corpus_conflict(3);
+        let rename_opts = sbml_compose::ComposeOptions::default();
+        let rekey_opts =
+            sbml_compose::ComposeOptions::default().with_incremental_key_rename(false);
+        let run = |options: sbml_compose::ComposeOptions| {
+            let composer = sbml_compose::Composer::new(options);
+            let prepared: Vec<_> = models.iter().map(|m| composer.prepare(m)).collect();
+            sbml_compose::compose_many_prepared(&composer, &prepared)
+        };
+        let rename = run(rename_opts);
+        let rekey = run(rekey_opts);
+        assert_eq!(rename.model, rekey.model);
+        assert_eq!(rename.log.events, rekey.log.events);
+        assert_eq!(rename.mappings, rekey.mappings);
     }
 
     #[test]

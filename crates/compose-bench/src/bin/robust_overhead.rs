@@ -93,7 +93,7 @@ fn main() {
     json.push_str(&format!("  \"chain_length\": {CHAIN_LENGTH},\n"));
     json.push_str("  \"engines\": {\n");
     json.push_str("    \"plain\": \"CompositionSession::push — no containment, no metering\",\n");
-    json.push_str("    \"guarded\": \"CompositionSession::push_guarded with an unlimited Meter: per-push step charge + deadline check + degradation-ladder plumbing\"\n");
+    json.push_str("    \"guarded\": \"CompositionSession::push_guarded with an unlimited Meter: per-push step charge + deadline check + panic containment and rollback plumbing\"\n");
     json.push_str("  },\n");
     json.push_str(&format!("  \"plain_seconds\": {plain_seconds:.6},\n"));
     json.push_str(&format!("  \"guarded_seconds\": {guarded_seconds:.6},\n"));

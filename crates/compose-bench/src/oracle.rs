@@ -2,9 +2,8 @@
 //!
 //! The copy-on-write base adoption
 //! ([`CompositionSession::with_shared_base`], [`Composer::compose_shared`])
-//! and the session-lifetime [`WorkerPool`](sbml_compose::WorkerPool)
-//! are *execution details*: for
-//! every input and every knob setting they must produce output
+//! is an *execution detail*: for
+//! every input and every knob setting it must produce output
 //! bit-identical to the eager clone-on-adopt path. This module is the
 //! shared engine behind that claim — `tests/cow_differential.rs` drives it
 //! across the full knob matrix, and the `all_pairs` bench binary reuses
@@ -16,13 +15,13 @@
 //!   shared base falls back to the eager path (clone the model, clone the
 //!   indexes), the behaviour of every release before the COW refactor;
 //! * **candidate** — `adopt_base` on, with a caller-chosen
-//!   [`ComposeOptions::pool_threads`]: the copy-on-write path under the
-//!   worker pool.
+//!   [`ComposeOptions::pool_threads`] (which must stay output-neutral):
+//!   the copy-on-write path.
 //!
 //! and asserts the composed model, the decision log, the ID mappings and
 //! the collected initial values are equal. Both runs share one
 //! [`PreparedModel`] (the knobs are fingerprint-neutral), so any
-//! divergence is attributable to the COW/pool machinery alone.
+//! divergence is attributable to the COW machinery alone.
 
 use std::sync::Arc;
 
@@ -37,11 +36,11 @@ use sbml_model::Model;
 /// COW session exposes must stay differentially clean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushMode {
-    /// [`CompositionSession::push`] (raw model; keys computed in-push,
-    /// parallel at or above the threshold).
+    /// [`CompositionSession::push`] (raw model; keys computed inline by
+    /// the merge passes).
     Raw,
-    /// [`CompositionSession::push_prepared`] (precomputed incoming keys;
-    /// the pipeline-eligible path).
+    /// [`CompositionSession::push_prepared`] (precomputed incoming keys,
+    /// revalidated by incremental rename under mappings).
     Prepared,
     /// [`CompositionSession::push_guarded`] under an unlimited
     /// [`Budget`] (the daemon's entry point).
@@ -161,9 +160,8 @@ fn run_pushes(
 /// assert bit-identity of model, log, mappings and initial values.
 ///
 /// `options` supplies the knob ablation under test (`adopt_base` and
-/// `pool_threads` are overridden per side); `pool_threads` sizes the
-/// candidate's worker pool. Panics with a labelled message on any
-/// divergence.
+/// `pool_threads` are overridden per side); `pool_threads` is set on the
+/// candidate only. Panics with a labelled message on any divergence.
 pub fn assert_cow_matches_clone(
     options: &ComposeOptions,
     base: &Model,

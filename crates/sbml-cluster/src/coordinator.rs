@@ -109,8 +109,6 @@ struct CoordState {
     metrics: Metrics,
     /// Scatter pool, one lane per shard.
     pool: WorkerPool,
-    /// Compose sessions share the same parked threads.
-    compose_pool: Arc<WorkerPool>,
     write: Mutex<WriteState>,
     config: CoordinatorConfig,
     threads: usize,
@@ -261,13 +259,8 @@ impl Coordinator {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let threads = resolve_threads(config.threads);
-        let compose_pool = Arc::new(match options.pool_threads {
-            0 => WorkerPool::for_host(),
-            t => WorkerPool::new(t),
-        });
         let state = Arc::new(CoordState {
             pool: WorkerPool::new(n),
-            compose_pool,
             cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             metrics: Metrics::new(),
             write: Mutex::new(WriteState { universe: reference.universe, live: live_total }),
@@ -513,7 +506,6 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
             }
             let meter = budget.start();
             let mut session = CompositionSession::new(&state.options);
-            session.set_pool(Arc::clone(&state.compose_pool));
             for model in &models {
                 if let Err(error) = session.push_guarded(model, Some(&meter)) {
                     Metrics::bump(&state.metrics.budget_cuts);

@@ -28,11 +28,10 @@
 //!   ascending pair order after the join, so scheduling never leaks into
 //!   output.
 //!
-//! Parallelism granularity is complementary to the session's: this module
-//! fans out *across* models/pairs, while
-//! [`CompositionSession`](crate::CompositionSession) can additionally fan
-//! out the key computation *inside* one large push
-//! ([`ComposeOptions::parallel_push_threshold`](crate::ComposeOptions::parallel_push_threshold)).
+//! This module is the only place composition fans out: it parallelises
+//! *across* models and pairs, while each pair's
+//! [`CompositionSession`](crate::CompositionSession) push runs its merge
+//! passes serially on the worker that owns the pair.
 //!
 //! [`all_pairs_with`]: BatchComposer::all_pairs_with
 
@@ -71,9 +70,8 @@ use crate::prepared::PreparedModel;
 pub struct BatchComposer {
     composer: Composer,
     threads: usize,
-    /// Lazily-spawned batch-lifetime [`WorkerPool`], shared by every
-    /// pair session of every `all_pairs*` call on this composer, so a
-    /// session that needs intra-push parallelism never spawns per pair.
+    /// Lazily-spawned batch-lifetime [`WorkerPool`] for the corpus and
+    /// pair-grid fan-outs of this composer.
     pool: OnceLock<Arc<WorkerPool>>,
 }
 
@@ -122,8 +120,8 @@ impl BatchComposer {
     /// The batch-lifetime worker pool, spawned on first use and sized by
     /// the composer's [`pool_threads`](crate::ComposeOptions::pool_threads)
     /// knob (`0` = host parallelism). Every fan-out on this composer —
-    /// pair grids, corpus sweeps, and the per-pair session internals —
-    /// runs on this one pool, and callers layering their own fan-out on
+    /// pair grids and corpus sweeps — runs on this one pool, and callers
+    /// layering their own fan-out on
     /// top (e.g. `sbml-match`'s shard scatter) should reuse it via
     /// [`WorkerPool::run_scoped`] rather than spawning threads: nested
     /// `run_scoped` calls on the same pool are deadlock-free by
@@ -249,10 +247,9 @@ impl BatchComposer {
         let pairs: Vec<(usize, usize)> =
             (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
         let workers = self.worker_count(pairs.len());
-        let pool = self.shared_pool();
         let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
             let composer = &self.composer;
-            let (pairs, prepared, map, pool) = (&pairs, prepared, &map, &pool);
+            let (pairs, prepared, map) = (&pairs, prepared, &map);
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     scope.spawn(move || {
@@ -260,11 +257,8 @@ impl BatchComposer {
                         let mut k = w;
                         while k < pairs.len() {
                             let (i, j) = pairs[k];
-                            let result = composer.compose_shared_on(
-                                Arc::clone(&prepared[i]),
-                                &prepared[j],
-                                Some(Arc::clone(pool)),
-                            );
+                            let result =
+                                composer.compose_shared(Arc::clone(&prepared[i]), &prepared[j]);
                             out.push((k, map(i, j, result)));
                             k += workers;
                         }
@@ -328,14 +322,9 @@ impl BatchComposer {
                     as u64
             })
             .collect();
-        let pool = self.shared_pool();
         let outcome = |k: usize| {
             let (i, j) = pairs[k];
-            let result = self.composer.compose_shared_on(
-                Arc::clone(&prepared[i]),
-                &prepared[j],
-                Some(Arc::clone(&pool)),
-            );
+            let result = self.composer.compose_shared(Arc::clone(&prepared[i]), &prepared[j]);
             map(i, j, result.into_compose_result())
         };
         self.run_guarded(pairs.len(), &costs, budget, outcome)

@@ -206,20 +206,6 @@ impl Composer {
     /// [`Composer::compose_prepared`] (the differential harness enforces
     /// this); panics on a fingerprint mismatch, as there.
     pub fn compose_shared(&self, a: Arc<PreparedModel>, b: &PreparedModel) -> SharedComposeResult {
-        self.compose_shared_on(a, b, None)
-    }
-
-    /// [`Composer::compose_shared`] with an optional pre-spawned
-    /// [`WorkerPool`](crate::WorkerPool) for the session's parallel stages.
-    /// Without one, a session that needs parallelism spins up its own
-    /// pool; batch and daemon callers pass a long-lived pool instead so
-    /// thousands of compositions share one set of parked threads.
-    pub fn compose_shared_on(
-        &self,
-        a: Arc<PreparedModel>,
-        b: &PreparedModel,
-        pool: Option<Arc<crate::pool::WorkerPool>>,
-    ) -> SharedComposeResult {
         a.check_options(&self.options);
         b.check_options(&self.options);
         // Fig. 5 lines 1–2: if one model is empty, return the other.
@@ -238,9 +224,6 @@ impl Composer {
             };
         }
         let mut session = CompositionSession::with_shared_base(&self.options, a);
-        if let Some(pool) = pool {
-            session.set_pool(pool);
-        }
         session.push_prepared_final(b);
         session.finish_shared()
     }

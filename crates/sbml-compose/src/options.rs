@@ -53,40 +53,6 @@ pub struct ComposeOptions {
     /// (O(n)) at every push. Values (and hence output) are identical
     /// either way; turning this off ablates the store for benchmarking.
     pub incremental_initial_values: bool,
-    /// Keyed-component count (components that carry a canonical content
-    /// or name key — everything except parameters and initial
-    /// assignments) at or above which a *raw* (unprepared) pushed model
-    /// gets its keys computed on a scoped thread pool before the serial
-    /// merge pass consumes them — the per-model analogue of
-    /// [`crate::BatchComposer::prepare_corpus`]'s across-model fan-out
-    /// (default: 256). Output never depends on this knob or on the thread
-    /// count; `usize::MAX` disables the parallel path, `0` forces it for
-    /// every non-empty push.
-    pub parallel_push_threshold: usize,
-    /// Run the Fig. 4 merge passes of one push as a **dependency DAG** on a
-    /// small scoped-thread pipeline instead of strictly in sequence
-    /// (default: true). Each per-kind pass declares the mapping-table kinds
-    /// it reads and writes; passes whose dependencies are satisfied run
-    /// concurrently, with the push's mapping table split into per-kind
-    /// shards so writers never contend. The pipeline only engages when the
-    /// push's content keys were precomputed **and** the push has at least
-    /// [`ComposeOptions::parallel_push_threshold`] keyed components —
-    /// pushes below the threshold (prepared or raw) keep the plain serial
-    /// pass order, which they cannot lose from. Output is
-    /// bit-for-bit identical to the serial passes either way
-    /// (property-tested across thread counts), so this knob — like
-    /// [`ComposeOptions::pipeline_threads`] — is an *execution detail*
-    /// deliberately excluded from [`ComposeOptions::fingerprint`].
-    pub merge_pipeline: bool,
-    /// Worker threads for the merge-pass pipeline; `0` (the default) uses
-    /// the host's available parallelism. The value is an **upper bound**
-    /// — a push's workers are CPU-bound, so the resolved count is capped
-    /// at the host parallelism (oversubscribing adds context-switch churn
-    /// and can never overlap work). An explicit value engages the
-    /// dependency-DAG executor even when the cap resolves to one worker;
-    /// the automatic `0` keeps single-core hosts on the plain serial pass
-    /// order. Never affects output.
-    pub pipeline_threads: usize,
     /// Revalidate cached content keys by **incremental renaming** when a
     /// push's ID mappings touch a component's references (default: true,
     /// heavy semantics only). Instead of re-canonicalising the whole
@@ -110,19 +76,16 @@ pub struct ComposeOptions {
     /// Turning this off makes the shared entry points fall back to the
     /// eager clone-on-adopt path (the differential harness's oracle
     /// engine). Output is bit-for-bit identical either way
-    /// (property-tested), so this knob — like the pipeline knobs — is an
-    /// execution detail excluded from [`ComposeOptions::fingerprint`].
+    /// (property-tested), so this knob — like
+    /// [`ComposeOptions::incremental_key_rename`] — is an execution detail
+    /// excluded from [`ComposeOptions::fingerprint`].
     pub adopt_base: bool,
-    /// Size of the session-lifetime [`crate::WorkerPool`] that replaces
-    /// per-push scoped thread spawns in the merge-pass pipeline and the
-    /// within-push key fan-out; `0` (the default) sizes it to the host's
-    /// available parallelism. A session creates its pool lazily on the
-    /// first push that goes parallel and parks it between pushes;
-    /// [`crate::BatchComposer`] and the `sbml-serve` daemon inject one
-    /// shared batch-lifetime pool instead so hot serving reuses warm
-    /// workers. `1` means no background workers (all lanes run on the
-    /// calling thread). Never affects output, hence
-    /// fingerprint-neutral.
+    /// Size of the batch-lifetime [`crate::WorkerPool`] a
+    /// [`crate::BatchComposer`] fans its corpus and pair grids out on;
+    /// `0` (the default) sizes it to the host's available parallelism,
+    /// `1` means no background workers (all lanes run on the calling
+    /// thread). A session push is always serial, so this knob never
+    /// affects output, hence fingerprint-neutral.
     pub pool_threads: usize,
 }
 
@@ -136,9 +99,6 @@ impl Default for ComposeOptions {
             cache_content_keys: true,
             collect_initial_values: true,
             incremental_initial_values: true,
-            parallel_push_threshold: 256,
-            merge_pipeline: true,
-            pipeline_threads: 0,
             incremental_key_rename: true,
             adopt_base: true,
             pool_threads: 0,
@@ -218,31 +178,6 @@ impl ComposeOptions {
         self
     }
 
-    /// Builder: set the keyed-component count at which a raw push
-    /// switches to parallel content-key computation (`usize::MAX` =
-    /// never, `0` = always).
-    #[must_use]
-    pub fn with_parallel_push_threshold(mut self, threshold: usize) -> ComposeOptions {
-        self.parallel_push_threshold = threshold;
-        self
-    }
-
-    /// Builder: toggle the merge-pass pipeline (serial Fig. 4 order when
-    /// off — the pipeline ablation).
-    #[must_use]
-    pub fn with_merge_pipeline(mut self, on: bool) -> ComposeOptions {
-        self.merge_pipeline = on;
-        self
-    }
-
-    /// Builder: set the pipeline worker count (`0` = host parallelism,
-    /// `1` = serial).
-    #[must_use]
-    pub fn with_pipeline_threads(mut self, threads: usize) -> ComposeOptions {
-        self.pipeline_threads = threads;
-        self
-    }
-
     /// Builder: toggle incremental cached-key renaming (the
     /// full-recompute ablation when off).
     #[must_use]
@@ -259,8 +194,8 @@ impl ComposeOptions {
         self
     }
 
-    /// Builder: set the session worker-pool size (`0` = host
-    /// parallelism, `1` = no background workers).
+    /// Builder: set the batch worker-pool size (`0` = host parallelism,
+    /// `1` = no background workers).
     #[must_use]
     pub fn with_pool_threads(mut self, threads: usize) -> ComposeOptions {
         self.pool_threads = threads;
@@ -273,11 +208,11 @@ impl ComposeOptions {
     /// different fingerprint is rejected, since the cached analysis would
     /// silently diverge from what the raw path computes.
     ///
-    /// [`ComposeOptions::merge_pipeline`] and
-    /// [`ComposeOptions::pipeline_threads`] are deliberately **not** part
-    /// of the fingerprint: pipeline scheduling is an execution detail with
-    /// property-tested bit-for-bit identical output, so a preparation built
-    /// under one pipeline setting stays valid under any other.
+    /// [`ComposeOptions::incremental_key_rename`],
+    /// [`ComposeOptions::adopt_base`] and [`ComposeOptions::pool_threads`]
+    /// are deliberately **not** part of the fingerprint: they are execution
+    /// details with property-tested bit-for-bit identical output, so a
+    /// preparation built under one setting stays valid under any other.
     pub fn fingerprint(&self) -> OptionsFingerprint {
         OptionsFingerprint {
             semantics: self.semantics,
@@ -286,7 +221,6 @@ impl ComposeOptions {
             cache_content_keys: self.cache_content_keys,
             collect_initial_values: self.collect_initial_values,
             incremental_initial_values: self.incremental_initial_values,
-            parallel_push_threshold: self.parallel_push_threshold,
             synonym_hash: self.synonyms.content_hash(),
         }
     }
@@ -302,7 +236,6 @@ pub struct OptionsFingerprint {
     cache_content_keys: bool,
     collect_initial_values: bool,
     incremental_initial_values: bool,
-    parallel_push_threshold: usize,
     /// [`bio_synonyms::SynonymTable::content_hash`] of the synonym table
     /// — two tables with the same group count but different contents must
     /// not fingerprint equal.
@@ -341,9 +274,6 @@ impl OptionsFingerprint {
         eat(u8::from(self.cache_content_keys));
         eat(u8::from(self.collect_initial_values));
         eat(u8::from(self.incremental_initial_values));
-        for byte in (self.parallel_push_threshold as u64).to_le_bytes() {
-            eat(byte);
-        }
         for byte in self.synonym_hash.to_le_bytes() {
             eat(byte);
         }
@@ -398,27 +328,18 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_track_incremental_and_parallel_knobs() {
-        // Regression: a PreparedModel built under different incremental /
-        // parallel settings must be rejected by the fingerprint check,
-        // like every other knob.
+    fn fingerprints_track_the_incremental_values_knob() {
+        // Regression: a PreparedModel built with the incremental value
+        // store on must be rejected under options with it off, like every
+        // other knob that shapes the cached analysis.
         let base = ComposeOptions::default();
         assert_ne!(
             base.fingerprint(),
             ComposeOptions::default().with_incremental_initial_values(false).fingerprint()
         );
-        assert_ne!(
-            base.fingerprint(),
-            ComposeOptions::default().with_parallel_push_threshold(0).fingerprint()
-        );
-        assert_ne!(
-            base.fingerprint(),
-            ComposeOptions::default().with_parallel_push_threshold(usize::MAX).fingerprint()
-        );
-        // Same settings still fingerprint equal.
         assert_eq!(
-            ComposeOptions::default().with_parallel_push_threshold(64).fingerprint(),
-            ComposeOptions::default().with_parallel_push_threshold(64).fingerprint()
+            ComposeOptions::default().with_incremental_initial_values(false).fingerprint(),
+            ComposeOptions::default().with_incremental_initial_values(false).fingerprint()
         );
     }
 
@@ -433,41 +354,26 @@ mod tests {
             heavy.stable_hash(),
             ComposeOptions::default().with_pattern_cache(false).fingerprint().stable_hash()
         );
-        // Pipeline knobs are fingerprint-neutral, hence digest-neutral.
+        // Execution knobs are fingerprint-neutral, hence digest-neutral.
         assert_eq!(
             heavy.stable_hash(),
-            ComposeOptions::default().with_merge_pipeline(false).fingerprint().stable_hash()
+            ComposeOptions::default()
+                .with_incremental_key_rename(false)
+                .fingerprint()
+                .stable_hash()
         );
     }
 
     #[test]
-    fn pipeline_knobs_do_not_change_the_fingerprint() {
-        // Regression: the merge-pass pipeline is an execution detail — a
-        // PreparedModel built under one pipeline setting must be accepted
-        // under any other, so these knobs stay out of the fingerprint.
+    fn execution_knobs_do_not_change_the_fingerprint() {
+        // Regression: key renaming, COW adoption and the batch pool size
+        // are execution details — a PreparedModel built under one setting
+        // must be accepted (and digest-equal) under any other.
         let base = ComposeOptions::default();
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_merge_pipeline(false).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_pipeline_threads(4).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default()
-                .with_merge_pipeline(false)
-                .with_pipeline_threads(1)
-                .fingerprint()
-        );
         assert_eq!(
             base.fingerprint(),
             ComposeOptions::default().with_incremental_key_rename(false).fingerprint()
         );
-        // The zero-copy knobs are execution details too: a preparation
-        // built under either engine or any pool size stays valid — and
-        // digest-equal — under every other.
         assert_eq!(
             base.fingerprint(),
             ComposeOptions::default().with_adopt_base(false).fingerprint()

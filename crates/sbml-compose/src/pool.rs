@@ -1,14 +1,10 @@
-//! A session-/batch-lifetime worker pool for the compose fan-outs.
+//! A batch-lifetime worker pool for the compose fan-outs.
 //!
-//! Every parallel stage in the engine — the merge-pass pipeline's DAG
-//! workers (the `pipeline` module), within-push content-key computation
-//! ([`crate::prepared`]), and the corpus stripes of
-//! [`crate::BatchComposer`] — used to spawn fresh scoped threads per
-//! call. That is fine for one composition and ruinous for the Fig. 8
-//! serving shape (thousands of small pushes against one hot base), where
-//! thread spawn/join dominates the per-pair fixed cost. [`WorkerPool`]
-//! replaces those per-call spawns with threads parked once per session
-//! (or per batch, or per daemon) and a per-call job **batch**: each
+//! The corpus stripes of [`crate::BatchComposer`] (and callers layering
+//! their own fan-out on a batch, such as `sbml-match`'s shard scatter)
+//! would otherwise spawn fresh scoped threads per call. [`WorkerPool`]
+//! replaces those per-call spawns with threads parked once per batch (or
+//! per daemon) and a per-call job **batch**: each
 //! [`WorkerPool::run_scoped`] call enqueues its closures, runs the
 //! caller's own share inline, drains whatever the workers have not
 //! picked up, and returns only when every closure of *this* call has
@@ -67,7 +63,7 @@ struct PoolShared {
 }
 
 /// A pool of parked worker threads shared by every parallel stage of a
-/// composition session, batch run, or serving daemon. See the module
+/// batch run or serving daemon. See the module
 /// docs; construct one per long-lived scope and pass it around in an
 /// [`Arc`].
 pub struct WorkerPool {

@@ -45,7 +45,6 @@ use crate::equality::MatchContext;
 use crate::index::ComponentIndex;
 use crate::initial_values::{collect, InitialValues};
 use crate::options::{ComposeOptions, OptionsFingerprint};
-use crate::pool::WorkerPool;
 
 /// Persistent per-kind indexes over a model (paper Fig. 5 line 5, without
 /// the per-pass rebuild). Maintained live by a session over its
@@ -197,9 +196,7 @@ impl IncomingRefs {
     }
 }
 
-// Per-kind free-reference helpers, shared by [`IncomingRefs::build`]
-// and the within-push parallel key builder so the two can never drift
-// apart.
+// Per-kind free-reference helpers of [`IncomingRefs::build`].
 
 /// Refs come from the BARE body, where params are free: the merge renames
 /// `f.body` directly (params included), so a param sharing a name with a
@@ -293,7 +290,7 @@ pub fn model_content_keys(model: &Model, options: &ComposeOptions) -> Vec<String
 /// binary encoding of exactly this struct per corpus model.
 ///
 /// Everything *not* here — the taken-id set, the per-kind lookup indexes,
-/// the key cache, the free-reference sets, the pipeline plan — is cheap
+/// the key cache, the free-reference sets — is cheap
 /// derived state that the preparation rebuilds on demand from these parts,
 /// with no canonicalisation, synonym closure or math evaluation. (The
 /// reference sets in particular are a pure function of the model, so
@@ -326,258 +323,12 @@ pub struct RawPrepared {
     pub initial_values: Vec<(String, f64)>,
 }
 
-/// One computed per-component key (see [`IncomingKeys::build_parallel_on`]):
-/// a bare key, a key with its component's free-reference set, or a
-/// reaction key with both the full and the kinetic-law-only ref sets.
-enum ComputedKey {
-    Plain(Arc<str>),
-    WithRefs(Arc<str>, Box<[Arc<str>]>),
-    Reaction(Arc<str>, Box<[Arc<str>]>, Box<[Arc<str>]>),
-}
-
-/// Compute the incoming key of one flattened job. `offsets[k]` is the
-/// first job id of component kind `k` (kinds in Fig. 4 order); empty kinds
-/// collapse to zero-width ranges the `rposition` lookup skips over.
-fn compute_key_job(
-    model: &Model,
-    ctx: &MatchContext<'_>,
-    offsets: &[usize; 10],
-    job: usize,
-) -> ComputedKey {
-    let kind = offsets.iter().rposition(|&o| job >= o).expect("job id below every offset");
-    let i = job - offsets[kind];
-    let arc = |s: String| -> Arc<str> { Arc::from(s.as_str()) };
-    match kind {
-        0 => {
-            let f = &model.function_definitions[i];
-            ComputedKey::WithRefs(arc(ctx.function_key(f, false)), function_refs(f))
-        }
-        1 => ComputedKey::Plain(arc(ctx.unit_key(&model.unit_definitions[i]))),
-        2 => {
-            let t = &model.compartment_types[i];
-            ComputedKey::Plain(arc(ctx.name_key(&t.id, t.name.as_deref())))
-        }
-        3 => {
-            let t = &model.species_types[i];
-            ComputedKey::Plain(arc(ctx.name_key(&t.id, t.name.as_deref())))
-        }
-        4 => {
-            let c = &model.compartments[i];
-            ComputedKey::Plain(arc(ctx.name_key(&c.id, c.name.as_deref())))
-        }
-        5 => {
-            let s = &model.species[i];
-            ComputedKey::Plain(arc(ctx.name_key(&s.id, s.name.as_deref())))
-        }
-        6 => {
-            let r = &model.rules[i];
-            ComputedKey::WithRefs(arc(ctx.rule_key(r, false)), rule_refs(r))
-        }
-        7 => {
-            let c = &model.constraints[i];
-            ComputedKey::WithRefs(arc(ctx.constraint_key(&c.math, false)), constraint_refs(&c.math))
-        }
-        8 => {
-            let r = &model.reactions[i];
-            let (refs, math_refs) = reaction_refs(r);
-            ComputedKey::Reaction(arc(ctx.reaction_key(r, false)), refs, math_refs)
-        }
-        9 => {
-            let ev = &model.events[i];
-            ComputedKey::WithRefs(arc(ctx.event_key(ev, false)), event_refs(ev))
-        }
-        _ => unreachable!("ten component kinds"),
-    }
-}
-
-/// Scheduling weight of one key job: proportional to the work the key
-/// derivation does (canonicalising the component's maths dominates), so
-/// one giant kinetic law no longer serialises a whole chunk. Never
-/// affects output — only which worker computes which key.
-fn key_job_weight(model: &Model, offsets: &[usize; 10], job: usize) -> u64 {
-    let kind = offsets.iter().rposition(|&o| job >= o).expect("job id below every offset");
-    let i = job - offsets[kind];
-    match kind {
-        0 => model.function_definitions[i].body.size() as u64,
-        // Units, types, compartments and species have constant-size keys.
-        1..=5 => 1,
-        6 => model.rules[i].math().size() as u64,
-        7 => model.constraints[i].math.size() as u64,
-        8 => {
-            let r = &model.reactions[i];
-            let math = r.kinetic_law.as_ref().map(|kl| kl.math.size()).unwrap_or(1);
-            (math + r.reactants.len() + r.products.len() + r.modifiers.len()) as u64
-        }
-        9 => {
-            let ev = &model.events[i];
-            (ev.trigger.size()
-                + ev.delay.as_ref().map(MathExpr::size).unwrap_or(0)
-                + ev.assignments.iter().map(|a| a.math.size()).sum::<usize>()) as u64
-        }
-        _ => unreachable!("ten component kinds"),
-    }
-}
-
 impl IncomingKeys {
     /// The free-reference sets, deriving them from `model` on first use
     /// after a snapshot load (fresh preparations store them pre-filled).
     /// Thread-safe; at most one derivation ever runs.
     pub(crate) fn refs(&self, model: &Model) -> &IncomingRefs {
         self.refs.get_or_init(|| IncomingRefs::build(model))
-    }
-
-    /// Compute a model's incoming-side keys — the same artifact
-    /// [`ModelAnalysis::build`] fills into its `incoming` argument — with
-    /// the per-component jobs distributed across `workers` scoped threads
-    /// by **size-weighted chunking**: jobs are assigned longest-first to
-    /// the least-loaded worker (LPT), weighted by each component's formula
-    /// size, so one giant kinetic law occupies a worker by itself instead
-    /// of serialising everything striped alongside it. Canonical keys are
-    /// pure functions of one component each, so worker count and
-    /// assignment can never influence the artifact: output is
-    /// byte-identical to the serial path for every `workers` value (unit-
-    /// and property-tested), only wall time changes.
-    ///
-    /// The session invokes this for raw pushes at or above
-    /// [`ComposeOptions::parallel_push_threshold`] components, then feeds
-    /// the keys to the merge passes exactly as prepared-model keys.
-    /// An optional persistent [`WorkerPool`] carries the chunks: with
-    /// `Some(pool)` the per-chunk jobs run on the pool's parked lanes (the
-    /// calling thread takes the first chunk) instead of spawning fresh
-    /// scoped threads per push; with `None` a `thread::scope` is used.
-    /// Chunk assignment, and therefore the artifact, is identical either
-    /// way.
-    pub(crate) fn build_parallel_on(
-        model: &Model,
-        options: &ComposeOptions,
-        workers: usize,
-        pool: Option<&WorkerPool>,
-    ) -> IncomingKeys {
-        let counts = [
-            model.function_definitions.len(),
-            model.unit_definitions.len(),
-            model.compartment_types.len(),
-            model.species_types.len(),
-            model.compartments.len(),
-            model.species.len(),
-            model.rules.len(),
-            model.constraints.len(),
-            model.reactions.len(),
-            model.events.len(),
-        ];
-        let mut offsets = [0usize; 10];
-        let mut total = 0usize;
-        for (slot, count) in offsets.iter_mut().zip(counts) {
-            *slot = total;
-            total += count;
-        }
-
-        let workers = workers.clamp(1, total.max(1));
-        let mut computed: Vec<(usize, ComputedKey)> = if workers <= 1 {
-            let ctx = MatchContext::new(options);
-            (0..total).map(|job| (job, compute_key_job(model, &ctx, &offsets, job))).collect()
-        } else {
-            // Size-weighted chunking (LPT): largest jobs first, each to
-            // the currently least-loaded worker.
-            let mut order: Vec<usize> = (0..total).collect();
-            let weights: Vec<u64> =
-                (0..total).map(|job| key_job_weight(model, &offsets, job).max(1)).collect();
-            order.sort_by_key(|&job| std::cmp::Reverse(weights[job]));
-            let mut loads = vec![0u64; workers];
-            let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); workers];
-            for job in order {
-                let w = loads
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &load)| load)
-                    .map(|(w, _)| w)
-                    .expect("at least one worker");
-                loads[w] += weights[job];
-                chunks[w].push(job);
-            }
-            match pool {
-                Some(pool) => {
-                    let offsets = &offsets;
-                    let out = std::sync::Mutex::new(Vec::with_capacity(total));
-                    let mut chunks = chunks.into_iter();
-                    let first = chunks.next().unwrap_or_default();
-                    let run_chunk = |jobs: Vec<usize>| {
-                        let ctx = MatchContext::new(options);
-                        let part: Vec<(usize, ComputedKey)> = jobs
-                            .into_iter()
-                            .map(|job| (job, compute_key_job(model, &ctx, offsets, job)))
-                            .collect();
-                        out.lock().expect("push key results").extend(part);
-                    };
-                    let run_chunk = &run_chunk;
-                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-                        .map(|jobs| {
-                            Box::new(move || run_chunk(jobs)) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    pool.run_scoped(move || run_chunk(first), tasks);
-                    out.into_inner().expect("push key results")
-                }
-                None => std::thread::scope(|scope| {
-                    let offsets = &offsets;
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|jobs| {
-                            scope.spawn(move || {
-                                let ctx = MatchContext::new(options);
-                                jobs.into_iter()
-                                    .map(|job| (job, compute_key_job(model, &ctx, offsets, job)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|handle| handle.join().expect("push key worker panicked"))
-                        .collect()
-                }),
-            }
-        };
-        computed.sort_unstable_by_key(|(job, _)| *job);
-
-        // Ascending job order is per-kind positional order, so plain
-        // pushes reassemble every vector.
-        let mut keys = IncomingKeys::default();
-        let mut refs = IncomingRefs::default();
-        for (job, slot) in computed {
-            let kind = offsets.iter().rposition(|&o| job >= o).expect("job id below every offset");
-            match (kind, slot) {
-                (0, ComputedKey::WithRefs(key, r)) => {
-                    keys.functions.push(key);
-                    refs.functions.push(r);
-                }
-                (1, ComputedKey::Plain(key)) => keys.units.push(key),
-                (2, ComputedKey::Plain(key)) => keys.compartment_types.push(key),
-                (3, ComputedKey::Plain(key)) => keys.species_types.push(key),
-                (4, ComputedKey::Plain(key)) => keys.compartments.push(key),
-                (5, ComputedKey::Plain(key)) => keys.species.push(key),
-                (6, ComputedKey::WithRefs(key, r)) => {
-                    keys.rules.push(key);
-                    refs.rules.push(r);
-                }
-                (7, ComputedKey::WithRefs(key, r)) => {
-                    keys.constraints.push(key);
-                    refs.constraints.push(r);
-                }
-                (8, ComputedKey::Reaction(key, r, math_refs)) => {
-                    keys.reactions.push(key);
-                    refs.reactions.push(r);
-                    refs.reaction_math.push(math_refs);
-                }
-                (9, ComputedKey::WithRefs(key, r)) => {
-                    keys.events.push(key);
-                    refs.events.push(r);
-                }
-                _ => unreachable!("job kind and payload always agree"),
-            }
-        }
-        let _ = keys.refs.set(refs);
-        keys
     }
 }
 
@@ -760,10 +511,6 @@ pub struct PreparedModel {
     analysis_config: AnalysisConfig,
     pub(crate) incoming: IncomingKeys,
     pub(crate) initial_values: Arc<InitialValues>,
-    /// Lazily-computed merge-pipeline plan (see [`crate::pipeline`]) — a
-    /// pure function of this model's ids and reference sets, shared (via
-    /// `Arc`) across clones and filled on the first pipelined push.
-    pub(crate) plan: Arc<std::sync::OnceLock<crate::pipeline::Plan>>,
 }
 
 /// The slice of [`ComposeOptions`] that shapes a [`ModelAnalysis`] built
@@ -816,7 +563,6 @@ impl PreparedModel {
             analysis_config: AnalysisConfig::of(options),
             incoming,
             initial_values,
-            plan: Arc::new(std::sync::OnceLock::new()),
         }
     }
 
@@ -982,7 +728,6 @@ impl PreparedModel {
             analysis_config: AnalysisConfig::of(options),
             incoming,
             initial_values,
-            plan: Arc::new(std::sync::OnceLock::new()),
         })
     }
 }
@@ -1179,8 +924,8 @@ mod tests {
         assert_send_sync::<PreparedModel>();
     }
 
-    /// A model with several entries of every keyed kind, so every job
-    /// segment of the parallel builder is exercised.
+    /// A model with several entries of every keyed kind, so every key
+    /// family of the preparation is exercised.
     fn every_kind() -> Model {
         use sbml_math::infix;
         use sbml_model::{Event, EventAssignment, FunctionDefinition, Rule};
@@ -1253,50 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_incoming_keys_equal_serial_for_every_worker_count() {
-        let model = every_kind();
-        for options in
-            [ComposeOptions::heavy(), ComposeOptions::light(), ComposeOptions::none()]
-        {
-            let mut serial = IncomingKeys::default();
-            ModelAnalysis::build(&model, &options, Some(&mut serial));
-            for workers in [1, 2, 3, 5, 8, 64] {
-                let parallel = IncomingKeys::build_parallel_on(&model, &options, workers, None);
-                assert_eq!(parallel, serial, "workers={workers}");
-                let pool = WorkerPool::new(workers.min(4));
-                let pooled =
-                    IncomingKeys::build_parallel_on(&model, &options, workers, Some(&pool));
-                assert_eq!(pooled, serial, "workers={workers} (pooled)");
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_chunking_handles_skewed_formula_sizes() {
-        // One giant kinetic law among many tiny components: the LPT
-        // assignment gives it a worker of its own, and output stays
-        // byte-identical to serial for every worker count.
-        use sbml_math::infix;
-        let mut m = every_kind();
-        let giant = (0..200).map(|i| format!("glc + {i}")).collect::<Vec<_>>().join(" * ");
-        let mut r = sbml_model::Reaction::new("giant");
-        r.reactants.push(sbml_model::SpeciesReference::new("glc"));
-        r.kinetic_law = Some(sbml_model::KineticLaw::new(infix::parse(&giant).unwrap()));
-        m.reactions.push(r);
-
-        let options = ComposeOptions::default();
-        let mut serial = IncomingKeys::default();
-        ModelAnalysis::build(&m, &options, Some(&mut serial));
-        for workers in [2, 3, 7, 16] {
-            assert_eq!(
-                IncomingKeys::build_parallel_on(&m, &options, workers, None),
-                serial,
-                "{workers}"
-            );
-        }
-    }
-
-    #[test]
     fn raw_round_trip_preserves_preparation() {
         for options in
             [ComposeOptions::heavy(), ComposeOptions::light(), ComposeOptions::none()]
@@ -1351,25 +1052,5 @@ mod tests {
         raw.species_keys.pop();
         let err = PreparedModel::from_raw(raw, &options).unwrap_err();
         assert!(err.contains("species keys"), "{err}");
-    }
-
-    #[test]
-    fn parallel_incoming_keys_on_empty_and_tiny_models() {
-        let options = ComposeOptions::default();
-        for model in [Model::new("empty"), sample()] {
-            let mut serial = IncomingKeys::default();
-            ModelAnalysis::build(&model, &options, Some(&mut serial));
-            let pool = WorkerPool::new(2);
-            for workers in [1, 4] {
-                assert_eq!(
-                    IncomingKeys::build_parallel_on(&model, &options, workers, None),
-                    serial
-                );
-                assert_eq!(
-                    IncomingKeys::build_parallel_on(&model, &options, workers, Some(&pool)),
-                    serial
-                );
-            }
-        }
     }
 }

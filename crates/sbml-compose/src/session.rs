@@ -23,25 +23,11 @@
 //!   extended with each push's additions through a dependency graph of
 //!   initial assignments, instead of re-running [`collect`] over the
 //!   whole accumulator before every push,
-//! * **within-push parallel keys** — a raw pushed model at or above
-//!   [`ComposeOptions::parallel_push_threshold`] keyed components gets its
-//!   canonical content keys computed on a scoped thread pool *before* the
-//!   merge passes consume them (the per-model analogue of
-//!   [`crate::BatchComposer::prepare_corpus`]'s across-model fan-out),
-//!   with per-job **size-weighted chunking** so one giant kinetic law
-//!   cannot serialise a chunk; below the threshold, keys are computed
-//!   inline as before,
-//! * **pipelined merge passes** — with [`ComposeOptions::merge_pipeline`]
-//!   (default on) the Fig. 4 passes of one push execute as a
-//!   **dependency DAG** on a scoped-thread scheduler (the crate-internal
-//!   `pipeline` module): per-kind mapping shards, taken-id family
-//!   analysis and fixed cross-kind data edges decide which passes may
-//!   overlap; output is bit-for-bit identical to the serial pass order,
 //! * **incremental mapped-key renaming** — with
 //!   [`ComposeOptions::incremental_key_rename`] (default on, heavy
-//!   semantics) a cached content key whose referenced ids were remapped
-//!   mid-push is revalidated by renaming the cached canonical text (the
-//!   crate-internal `keyrename` module over
+//!   semantics) a prepared push's cached content key whose referenced ids
+//!   were remapped mid-push is revalidated by renaming the cached
+//!   canonical text (the crate-internal `keyrename` module over
 //!   [`sbml_math::pattern::Pattern::rename_mapped`]) — O(touched
 //!   leaves) — instead of re-canonicalising the formula.
 //!
@@ -50,28 +36,25 @@
 //! A push runs the paper's Fig. 4 pipeline over the incoming model `b`
 //! against the accumulator `A` (sizes `|b|`, `|A|`):
 //!
-//! | phase | work | serial cost | pipelined |
-//! |---|---|---|---|
-//! | per-push reset | clear mapping table + delta indexes | O(1) amortised | same |
-//! | initial values | incremental store lookup (seeded once) | O(1) per push (O(&#124;A&#124;) once); O(&#124;A&#124;) per push with the store ablated | same |
-//! | incoming keys | serial inline, or precomputed on the pool at/above the threshold (size-weighted chunks) | O(&#124;b&#124;) work, ÷ cores wall-clock when parallel | same |
-//! | merge passes | functions → units → compartment/species types → compartments → species → parameters → initial assignments → rules → constraints → reactions → events; each component is an O(1) expected index probe (by id, then by content/name) plus a conflict check; stale cached keys revalidated by incremental rename (O(touched leaves)) instead of re-canonicalisation (O(formula)) | O(&#124;b&#124;) | independent passes overlap on the scheduler — wall-clock ≈ critical path of the per-push dependency DAG, ÷ min(workers, DAG width) |
-//! | finish | fold per-pass logs/shards in Fig. 4 order (pipelined only), fold delta indexes under canonical merged-side keys, extend the key cache and the value store with the push's additions | O(additions) | same |
+//! | phase | work | cost |
+//! |---|---|---|
+//! | per-push reset | clear mapping table + delta indexes | O(1) amortised |
+//! | initial values | incremental store lookup (seeded once) | O(1) per push (O(&#124;A&#124;) once); O(&#124;A&#124;) per push with the store ablated |
+//! | incoming keys | inline in the passes (raw push), or taken from the [`PreparedModel`] | O(&#124;b&#124;) raw, O(1) per clean key prepared |
+//! | merge passes | functions → units → compartment/species types → compartments → species → parameters → initial assignments → rules → constraints → reactions → events, strictly in this order; each component is an O(1) expected index probe (by id, then by content/name) plus a conflict check; stale cached keys revalidated by incremental rename (O(touched leaves)) instead of re-canonicalisation (O(formula)) | O(&#124;b&#124;) |
+//! | finish | fold delta indexes under canonical merged-side keys, extend the key cache and the value store with the push's additions | O(additions) |
 //!
-//! Nothing in a push scales with `|A|` (the two O(n)-per-push costs the
-//! ROADMAP listed — whole-accumulator value re-collection and serial key
-//! computation — were removed by the incremental store and the parallel
-//! key path respectively), so an n-model chain is O(total components)
-//! plus index-probe constants, not O(n²). The remaining *serial* per-pair
-//! costs — strictly ordered merge passes and O(formula) recomputation of
-//! mapped keys — are what the pipeline and the incremental rename remove;
-//! `BENCH_pipeline.json` (gated ≥ 1.5x by `ci.sh`) tracks their combined
+//! Nothing in a push scales with `|A|` (whole-accumulator value
+//! re-collection was removed by the incremental store), so an n-model
+//! chain is O(total components) plus index-probe constants, not O(n²).
+//! O(formula) recomputation of mapped keys is what the incremental rename
+//! removes; `BENCH_pipeline.json` (gated ≥ 1.5x by `ci.sh`) tracks that
 //! win on the conflict-heavy corpus.
 //!
 //! The output is bit-for-bit identical to a left fold of pairwise
 //! [`Composer::compose`] calls — `tests/properties.rs` proves model, log
 //! and mappings equality over randomized chains, across every semantics
-//! level, ablation knob and thread count. Within one push the
+//! level and ablation knob. Within one push the
 //! session therefore mirrors a subtlety of the pairwise pass: a component
 //! inserted *during* a push is indexed under its incoming (second-model)
 //! key until the push ends, and under its canonical merged-side key
@@ -80,8 +63,6 @@
 //! indexes when the push completes.
 //!
 //! [`Composer::compose`]: crate::composer::Composer::compose
-//! [`ComposeOptions::parallel_push_threshold`]: crate::options::ComposeOptions::parallel_push_threshold
-//! [`ComposeOptions::merge_pipeline`]: crate::options::ComposeOptions::merge_pipeline
 //! [`ComposeOptions::incremental_key_rename`]: crate::options::ComposeOptions::incremental_key_rename
 
 use std::collections::HashMap;
@@ -92,20 +73,17 @@ use sbml_model::Model;
 use crate::composer::{ComposeResult, SharedComposeResult, SharedModel};
 use crate::cow::{Accum, CowState};
 use crate::equality::{self, MappingTable, NoMap};
-use crate::guard::{self, ExecError, Meter, PushOutcome, Site};
+use crate::guard::{self, ExecError, Meter, Site};
 use crate::index::ComponentIndex;
 use crate::initial_values::{collect, IncrementalValues, InitialValues, ValueDelta};
 use crate::log::MergeLog;
 use crate::options::ComposeOptions;
-use crate::pool::WorkerPool;
 use crate::passes::{
     self, AssignmentsMut, CompartmentTypesMut, CompartmentsMut, CompartmentsRead, ConstraintsMut,
     EventsMut, FunctionsMut, IdRegistry, Incoming, IvA, MapStore, ParametersMut, PassEnv,
-    PrefixMask, ReactionsMut, RulesMut, SpeciesMut, SpeciesTypesMut, TakenStore, UnitsMut,
-    UnitsRead,
+    PrefixMask, ReactionsMut, RulesMut, SpeciesMut, SpeciesTypesMut, UnitsMut, UnitsRead,
 };
-use crate::pipeline;
-use crate::prepared::{IncomingKeys, Indexes, KeyCache, ModelAnalysis, PreparedModel};
+use crate::prepared::{Indexes, KeyCache, ModelAnalysis, PreparedModel};
 
 /// Per-push staging indexes for components added during the current push,
 /// keyed by their *incoming* (second-model) content/name key. Folded into
@@ -150,25 +128,6 @@ impl DeltaIndexes {
         self.reactions_by_content.clear();
         self.events_by_content.clear();
     }
-}
-
-/// Keyed-component count of a model: the components that carry a canonical
-/// content or name key (everything except parameters and initial
-/// assignments). This is what [`ComposeOptions::parallel_push_threshold`]
-/// gates — both the within-push key fan-out and the merge-pass pipeline.
-///
-/// [`ComposeOptions::parallel_push_threshold`]: crate::options::ComposeOptions::parallel_push_threshold
-pub(crate) fn keyed_components(model: &Model) -> usize {
-    model.function_definitions.len()
-        + model.unit_definitions.len()
-        + model.compartment_types.len()
-        + model.species_types.len()
-        + model.compartments.len()
-        + model.species.len()
-        + model.rules.len()
-        + model.constraints.len()
-        + model.reactions.len()
-        + model.events.len()
 }
 
 /// Component-list lengths at the start of a push; everything past these
@@ -229,9 +188,7 @@ impl PushStart {
 pub struct CompositionSession<'o> {
     pub(crate) options: &'o ComposeOptions,
     /// The current push's ID mappings (second-model id → merged id) —
-    /// cleared per push, drained into `mappings` at push end. On the
-    /// pipelined path the passes write per-kind shards that are folded in
-    /// here in pass order before `finish_push`.
+    /// cleared per push, drained into `mappings` at push end.
     pub(crate) push_maps: MappingTable,
     /// First-byte index over `push_maps` sources (see
     /// [`PrefixMask`]); cleared with it per push.
@@ -245,11 +202,6 @@ pub struct CompositionSession<'o> {
     /// [`CompositionSession::with_shared_base`] with
     /// [`ComposeOptions::adopt_base`] on.
     base: Option<Arc<PreparedModel>>,
-    /// Session-lifetime worker pool backing the merge-pass pipeline and
-    /// the within-push key fan-out; created lazily on the first parallel
-    /// push ([`ComposeOptions::pool_threads`] sizes it) or injected by
-    /// [`CompositionSession::set_pool`] for batch-/daemon-lifetime reuse.
-    pool: Option<Arc<WorkerPool>>,
     pub(crate) log: MergeLog,
     pub(crate) mappings: HashMap<String, String>,
     pub(crate) taken: IdRegistry,
@@ -281,7 +233,6 @@ impl<'o> CompositionSession<'o> {
             push_mask: PrefixMask::default(),
             accum: Accum::Owned(Model::new("empty")),
             base: None,
-            pool: None,
             log: MergeLog::new(),
             mappings: HashMap::new(),
             taken: IdRegistry::new(),
@@ -369,34 +320,6 @@ impl<'o> CompositionSession<'o> {
         self.accum.is_shared()
     }
 
-    /// Install a caller-owned worker pool for this session's parallel
-    /// work (merge-pass pipeline, within-push key fan-out). Without one
-    /// the session lazily creates its own, sized by
-    /// [`ComposeOptions::pool_threads`]; batch and daemon callers inject
-    /// a shared pool here so hot paths reuse warm, parked workers instead
-    /// of spawning per push.
-    pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Builder form of [`CompositionSession::set_pool`].
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.set_pool(pool);
-        self
-    }
-
-    /// The session's pool, creating it on first use. Sized by
-    /// [`ComposeOptions::pool_threads`] (`0` = host parallelism).
-    pub(crate) fn ensure_pool(&mut self) -> Arc<WorkerPool> {
-        if self.pool.is_none() {
-            self.pool = Some(Arc::new(match self.options.pool_threads {
-                0 => WorkerPool::for_host(),
-                n => WorkerPool::new(n),
-            }));
-        }
-        Arc::clone(self.pool.as_ref().expect("pool installed above"))
-    }
-
     /// The cumulative merge log across all pushes.
     pub fn log(&self) -> &MergeLog {
         &self.log
@@ -426,7 +349,7 @@ impl<'o> CompositionSession<'o> {
         if b.is_empty() {
             return;
         }
-        self.merge_raw(b, false);
+        self.merge_model(&Incoming::raw(b), false);
     }
 
     /// Merge one model by value: as [`CompositionSession::push`], but a
@@ -441,7 +364,7 @@ impl<'o> CompositionSession<'o> {
         if b.is_empty() {
             return;
         }
-        self.merge_raw(&b, false);
+        self.merge_model(&Incoming::raw(&b), false);
     }
 
     /// [`CompositionSession::push`] for a push known to be the last before
@@ -458,7 +381,7 @@ impl<'o> CompositionSession<'o> {
         if b.is_empty() {
             return;
         }
-        self.merge_raw(b, true);
+        self.merge_model(&Incoming::raw(b), true);
     }
 
     /// Final-push variant of [`CompositionSession::push_owned`].
@@ -471,7 +394,7 @@ impl<'o> CompositionSession<'o> {
         if b.is_empty() {
             return;
         }
-        self.merge_raw(&b, true);
+        self.merge_model(&Incoming::raw(&b), true);
     }
 
     /// Merge one prepared model, reusing its precomputed analysis: name,
@@ -514,19 +437,15 @@ impl<'o> CompositionSession<'o> {
 
     /// [`CompositionSession::push`] with fault containment and budget
     /// governance (see [`crate::guard`]). `meter` is charged one step per
-    /// incoming component *before* the accumulator is touched, so an
-    /// exhausted budget fails the push cleanly; a fault inside the merge
-    /// walks the degradation ladder — pipelined attempt, one serial
-    /// retry, rollback — and `Err` guarantees the accumulator, log and
+    /// incoming component (and its deadline checked) *before* the
+    /// accumulator is touched, so an exhausted budget fails the push
+    /// cleanly; a panic inside the merge passes is contained, the push is
+    /// rolled back, and `Err` guarantees the accumulator, log and
     /// mappings are exactly their pre-push state.
     ///
     /// Output on success is bit-for-bit identical to
-    /// [`CompositionSession::push`] on the same model, degraded or not.
-    pub fn push_guarded(
-        &mut self,
-        b: &Model,
-        meter: Option<&Meter>,
-    ) -> Result<PushOutcome, ExecError> {
+    /// [`CompositionSession::push`] on the same model.
+    pub fn push_guarded(&mut self, b: &Model, meter: Option<&Meter>) -> Result<(), ExecError> {
         if let Some(m) = meter {
             m.charge(b.component_count() as u64, Site::Push(self.pushes))?;
         }
@@ -534,13 +453,12 @@ impl<'o> CompositionSession<'o> {
         if self.accum.model().is_empty() {
             self.accum = Accum::Owned(b.clone());
             self.reindex();
-            return Ok(PushOutcome::clean());
+            return Ok(());
         }
         if b.is_empty() {
-            return Ok(PushOutcome::clean());
+            return Ok(());
         }
-        let keys = self.precomputed_push_keys(b);
-        self.merge_model_guarded(&Incoming::raw_with_keys(b, keys.as_ref()), meter)
+        self.merge_model_guarded(&Incoming::raw(b))
     }
 
     /// Guarded variant of [`CompositionSession::push_prepared`]: same
@@ -553,7 +471,7 @@ impl<'o> CompositionSession<'o> {
         &mut self,
         p: &PreparedModel,
         meter: Option<&Meter>,
-    ) -> Result<PushOutcome, ExecError> {
+    ) -> Result<(), ExecError> {
         p.check_options(self.options());
         if let Some(m) = meter {
             m.charge(p.model().component_count() as u64, Site::Push(self.pushes))?;
@@ -561,12 +479,12 @@ impl<'o> CompositionSession<'o> {
         self.pushes += 1;
         if self.accum.model().is_empty() {
             self.adopt_prepared(p);
-            return Ok(PushOutcome::clean());
+            return Ok(());
         }
         if p.model().is_empty() {
-            return Ok(PushOutcome::clean());
+            return Ok(());
         }
-        self.merge_model_guarded(&Incoming::prepared(p), meter)
+        self.merge_model_guarded(&Incoming::prepared(p))
     }
 
     /// Finish, returning the composed model, cumulative log and mappings.
@@ -607,32 +525,6 @@ impl<'o> CompositionSession<'o> {
                 _ => collect(self.accum.model()),
             },
         }
-    }
-
-    /// Shared tail of every raw push entry point: precompute content keys
-    /// when the model clears the parallel threshold, then run the merge
-    /// passes.
-    fn merge_raw(&mut self, b: &Model, final_push: bool) {
-        let keys = self.precomputed_push_keys(b);
-        self.merge_model(&Incoming::raw_with_keys(b, keys.as_ref()), final_push);
-    }
-
-    /// Content keys for a raw push, computed up front on the session's
-    /// worker pool when the model clears
-    /// [`ComposeOptions::parallel_push_threshold`] — the within-push
-    /// analogue of [`crate::BatchComposer::prepare_corpus`]'s per-model
-    /// fan-out. `None` below the threshold (the merge passes then compute
-    /// keys inline, as before).
-    fn precomputed_push_keys(&mut self, b: &Model) -> Option<IncomingKeys> {
-        // Gate on the components that actually produce key jobs —
-        // parameters and initial assignments have no canonical keys, so a
-        // parameter-heavy model must not spawn workers for a handful of
-        // name keys.
-        if keyed_components(b) < self.options().parallel_push_threshold {
-            return None;
-        }
-        let pool = self.ensure_pool();
-        Some(IncomingKeys::build_parallel_on(b, self.options(), pool.threads(), Some(&pool)))
     }
 
     fn options(&self) -> &'o ComposeOptions {
@@ -683,32 +575,14 @@ impl<'o> CompositionSession<'o> {
     /// and mappings are unaffected) — used by the one-shot entry points.
     fn merge_model(&mut self, inc: &Incoming<'_>, final_push: bool) {
         let start = self.begin_push(inc);
-
-        // The Fig. 4 passes: as a dependency-DAG pipeline on scoped worker
-        // threads when the knobs and the push shape allow it, else in
-        // strict serial order. Output is bit-for-bit identical either way
-        // (property-tested across thread counts).
-        match self.pipeline_workers(inc) {
-            Some(workers) => {
-                let pool = self.ensure_pool();
-                if let Err(fault) = pipeline::run(self, inc, workers, &pool, None) {
-                    // Unguarded entry point: keep the historical contract
-                    // (a pass panic aborts the push) rather than silently
-                    // degrading. push_guarded is the containing variant.
-                    panic!("a merge pass panicked: {fault}");
-                }
-            }
-            None => self.merge_passes_serial(inc),
-        }
-
+        self.merge_passes_serial(inc);
         self.finish_push(start, final_push);
     }
 
     /// Everything a push does before the merge passes run: reset the
     /// per-push state, seed both sides' initial values, snapshot the
     /// accumulator's component-list lengths and pre-size for the incoming
-    /// model. Shared by the plain and guarded merge paths (the guarded
-    /// path re-runs it for the serial retry after a rollback).
+    /// model. Shared by the plain and guarded merge paths.
     fn begin_push(&mut self, inc: &Incoming<'_>) -> PushStart {
         // Per-push state: fresh mappings and initial values, clean deltas
         // (exactly what a pairwise `compose` would start from).
@@ -822,51 +696,25 @@ impl<'o> CompositionSession<'o> {
         self.reindex();
     }
 
-    /// The contained merge behind the guarded push entry points: the
-    /// degradation ladder of ISSUE 6. Rung one is the pipelined DAG
-    /// executor (when the push engages it) with per-pass deadline checks
-    /// and contained worker panics; on a fault the push is rolled back
-    /// and retried once on the serial reference path, which produces the
-    /// identical result ([`crate::guard::PushOutcome::degraded`] records
-    /// the fault). A serial-path panic is contained too: the accumulator
-    /// is rolled back to its exact pre-push state and the fault returned.
-    fn merge_model_guarded(
-        &mut self,
-        inc: &Incoming<'_>,
-        meter: Option<&Meter>,
-    ) -> Result<PushOutcome, ExecError> {
+    /// The contained merge behind the guarded push entry points: a panic
+    /// inside the passes (at any of the twelve pass boundaries, after
+    /// earlier passes have already appended) is caught, the accumulator is
+    /// rolled back to its exact pre-push state — re-adopting the shared
+    /// base when the push started from one — and the fault returned.
+    fn merge_model_guarded(&mut self, inc: &Incoming<'_>) -> Result<(), ExecError> {
         let log_start = self.log.events.len();
         // Captured before the push runs: a fault must roll a COW session
         // all the way back to the fully shared base, not to a half-cloned
         // accumulator.
         let was_shared = self.accum.is_shared();
         let start = self.begin_push(inc);
-
-        let mut degraded = None;
-        if let Some(workers) = self.pipeline_workers(inc) {
-            let pool = self.ensure_pool();
-            match pipeline::run(self, inc, workers, &pool, meter) {
-                Ok(()) => {
-                    self.finish_push(start, false);
-                    return Ok(PushOutcome::clean());
-                }
-                Err(fault) => {
-                    self.rollback_push(start, log_start, was_shared);
-                    degraded = Some(fault);
-                    // Re-seed the per-push state the rollback discarded
-                    // before the serial retry.
-                    self.begin_push(inc);
-                }
-            }
-        }
-
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.merge_passes_serial(inc)
         }));
         match attempt {
             Ok(()) => {
                 self.finish_push(start, false);
-                Ok(PushOutcome { degraded })
+                Ok(())
             }
             Err(payload) => {
                 self.rollback_push(start, log_start, was_shared);
@@ -878,49 +726,13 @@ impl<'o> CompositionSession<'o> {
         }
     }
 
-    /// Should this push run the pipelined merge, and with how many
-    /// workers? The pipeline needs precomputed incoming keys (their
-    /// free-reference sets feed the dependency analysis) and a push big
-    /// enough to be worth scheduling — the same
-    /// [`ComposeOptions::parallel_push_threshold`] gate the within-push
-    /// key fan-out uses.
-    ///
-    /// [`ComposeOptions::pipeline_threads`] is an **upper bound**: the
-    /// resolved worker count is capped at the host's available
-    /// parallelism, because a push's scoped workers are CPU-bound — extra
-    /// threads beyond the cores can only add context-switch churn, never
-    /// overlap. An *explicit* setting engages the pipelined executor even
-    /// when the cap resolves to one worker (the dependency-DAG executor
-    /// then runs its cost-priority schedule on the calling thread, no
-    /// spawns); the automatic setting (`0`) falls back to the plain
-    /// serial pass order on single-core hosts instead.
-    ///
-    /// [`ComposeOptions::parallel_push_threshold`]: crate::options::ComposeOptions::parallel_push_threshold
-    /// [`ComposeOptions::pipeline_threads`]: crate::options::ComposeOptions::pipeline_threads
-    fn pipeline_workers(&self, inc: &Incoming<'_>) -> Option<usize> {
-        if !self.options.merge_pipeline || inc.keys.is_none() {
-            return None;
-        }
-        if keyed_components(inc.model) < self.options.parallel_push_threshold {
-            return None;
-        }
-        let host = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        match self.options.pipeline_threads {
-            0 if host >= 2 => Some(host),
-            0 => None,
-            n => Some(n.min(host).max(1)),
-        }
-    }
-
     /// Take everything the merge passes mutate out of the session for the
     /// duration of one push: COW wrappers over the shared base when the
     /// accumulator is still [`Accum::Shared`], plain moved-out owned state
     /// otherwise. Must be paired with
     /// [`CompositionSession::restore_cow_state`] on every exit path
     /// (including unwinds), or the accumulator is left empty.
-    pub(crate) fn take_cow_state(&mut self) -> CowState {
+    fn take_cow_state(&mut self) -> CowState {
         match &mut self.accum {
             Accum::Shared(base) => CowState::from_shared(base, &mut self.delta),
             Accum::Owned(model) => {
@@ -936,7 +748,7 @@ impl<'o> CompositionSession<'o> {
     /// owned (untouched kinds clone from the base here, once) and flip to
     /// [`Accum::Owned`]; accumulator already owned — move the parts back
     /// verbatim.
-    pub(crate) fn restore_cow_state(&mut self, st: CowState) {
+    fn restore_cow_state(&mut self, st: CowState) {
         if self.accum.is_shared() && !st.any_materialised() {
             debug_assert!(
                 !self.taken.has_additions(),
@@ -959,12 +771,11 @@ impl<'o> CompositionSession<'o> {
         }
     }
 
-    /// Run the twelve passes in Fig. 4 order over the session's own state
-    /// — the serial schedule, and the reference the pipelined path is
-    /// property-tested against. The pass state is taken out as a
-    /// [`CowState`] and restored on both the success and unwind paths, so
-    /// a pass panic never strands a half-taken session (the guarded
-    /// caller's rollback then sees a structurally whole accumulator).
+    /// Run the twelve passes in Fig. 4 order over the session's own state.
+    /// The pass state is taken out as a [`CowState`] and restored on both
+    /// the success and unwind paths, so a pass panic never strands a
+    /// half-taken session (the guarded caller's rollback then sees a
+    /// structurally whole accumulator).
     fn merge_passes_serial(&mut self, inc: &Incoming<'_>) {
         guard::fail_point(Site::Push(self.pushes.saturating_sub(1)));
         let mut st = self.take_cow_state();
@@ -982,11 +793,8 @@ impl<'o> CompositionSession<'o> {
             () => {
                 &mut PassEnv {
                     options: self.options,
-                    maps: MapStore::Single {
-                        table: &mut self.push_maps,
-                        mask: &mut self.push_mask,
-                    },
-                    taken: TakenStore::Single(&mut self.taken),
+                    maps: MapStore { table: &mut self.push_maps, mask: &mut self.push_mask },
+                    taken: &mut self.taken,
                     log: &mut self.log,
                     iv_a: match &self.incremental {
                         Some(store) => IvA::Store(store),
@@ -996,6 +804,7 @@ impl<'o> CompositionSession<'o> {
                 }
             };
         }
+        guard::fail_point(Site::Pass(0));
         passes::functions(
             env!(),
             &mut FunctionsMut {
@@ -1007,6 +816,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        guard::fail_point(Site::Pass(1));
         passes::units(
             env!(),
             &mut UnitsMut {
@@ -1017,6 +827,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        guard::fail_point(Site::Pass(2));
         passes::compartment_types(
             env!(),
             &mut CompartmentTypesMut {
@@ -1027,6 +838,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        guard::fail_point(Site::Pass(3));
         passes::species_types(
             env!(),
             &mut SpeciesTypesMut {
@@ -1037,6 +849,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        guard::fail_point(Site::Pass(4));
         passes::compartments(
             env!(),
             &mut CompartmentsMut {
@@ -1048,6 +861,7 @@ impl<'o> CompositionSession<'o> {
             &UnitsRead { list: &st.units, by_id: &st.units_by_id },
             inc,
         );
+        guard::fail_point(Site::Pass(5));
         passes::species(
             env!(),
             &mut SpeciesMut {
@@ -1060,12 +874,14 @@ impl<'o> CompositionSession<'o> {
             &CompartmentsRead { list: &st.compartments, by_id: &st.compartments_by_id },
             inc,
         );
+        guard::fail_point(Site::Pass(6));
         passes::parameters(
             env!(),
             &mut ParametersMut { list: &mut st.parameters, by_id: &mut st.parameters_by_id },
             &UnitsRead { list: &st.units, by_id: &st.units_by_id },
             inc,
         );
+        guard::fail_point(Site::Pass(7));
         passes::initial_assignments(
             env!(),
             &mut AssignmentsMut {
@@ -1074,6 +890,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        guard::fail_point(Site::Pass(8));
         passes::rules(
             env!(),
             &mut RulesMut {
@@ -1084,6 +901,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        guard::fail_point(Site::Pass(9));
         passes::constraints(
             env!(),
             &mut ConstraintsMut {
@@ -1093,6 +911,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        guard::fail_point(Site::Pass(10));
         passes::reactions(
             env!(),
             &mut ReactionsMut {
@@ -1105,6 +924,7 @@ impl<'o> CompositionSession<'o> {
             &UnitsRead { list: &st.units, by_id: &st.units_by_id },
             inc,
         );
+        guard::fail_point(Site::Pass(11));
         passes::events(
             env!(),
             &mut EventsMut {
@@ -1471,8 +1291,6 @@ mod tests {
         let btree = ComposeOptions::default().with_index(crate::IndexKind::BTree);
         let linear = ComposeOptions::default().with_index(crate::IndexKind::LinearScan);
         let recollect = ComposeOptions::default().with_incremental_initial_values(false);
-        let always_parallel = ComposeOptions::default().with_parallel_push_threshold(0);
-        let never_parallel = ComposeOptions::default().with_parallel_push_threshold(usize::MAX);
         let models: Vec<Model> = (0..5).map(chain_model).collect();
 
         let run = |options: &ComposeOptions| {
@@ -1490,8 +1308,6 @@ mod tests {
             &btree,
             &linear,
             &recollect,
-            &always_parallel,
-            &never_parallel,
         ] {
             let other = run(options);
             assert_eq!(other.model, baseline.model);
@@ -1594,46 +1410,48 @@ mod tests {
         m
     }
 
-    #[test]
-    fn pipelined_merge_equals_serial_across_thread_counts() {
-        // Conflict-heavy pushes: species mapped by name, parameters
-        // renamed on value conflicts, every later pass revalidating keys
-        // under those mappings — the shape the dependency DAG must get
-        // exactly right.
-        let models: Vec<Model> = (0..4).map(conflict_model).collect();
-        let serial_opts = ComposeOptions::default()
-            .with_merge_pipeline(false)
-            .with_parallel_push_threshold(0);
-        let run = |options: &ComposeOptions| {
-            let mut session = CompositionSession::new(options);
-            for m in &models {
+    /// Push every model through one session, raw or prepared.
+    fn run_chain(options: &ComposeOptions, models: &[Model], prepared: bool) -> ComposeResult {
+        let mut session = CompositionSession::new(options);
+        for m in models {
+            if prepared {
+                session.push_prepared(&PreparedModel::new(m, options));
+            } else {
                 session.push(m);
             }
-            session.finish()
-        };
-        let serial = run(&serial_opts);
+        }
+        session.finish()
+    }
+
+    #[test]
+    fn conflict_chain_session_equals_pairwise_fold() {
+        // Conflict-heavy pushes: species mapped by name, parameters
+        // renamed on value conflicts, every later pass revalidating keys
+        // under those mappings. Raw and prepared sessions must both equal
+        // the seed pairwise fold (a fresh compose and re-index per step).
+        let models: Vec<Model> = (0..4).map(conflict_model).collect();
+        let options = ComposeOptions::default();
+        let folded = crate::composer::compose_many_pairwise(&Composer::new(options.clone()), &models);
         assert!(
-            serial.log.events.iter().any(|e| e.kind == crate::EventKind::Mapped),
+            folded.log.events.iter().any(|e| e.kind == crate::EventKind::Mapped),
             "conflict corpus must actually produce mappings"
         );
-        for threads in [1, 2, 3, 4, 8] {
-            let opts = ComposeOptions::default()
-                .with_parallel_push_threshold(0)
-                .with_pipeline_threads(threads);
-            let out = run(&opts);
-            assert_eq!(out.model, serial.model, "threads={threads}");
-            assert_eq!(out.log.events, serial.log.events, "threads={threads}");
-            assert_eq!(out.mappings, serial.mappings, "threads={threads}");
+        for prepared in [false, true] {
+            let out = run_chain(&options, &models, prepared);
+            assert_eq!(out.model, folded.model, "prepared={prepared}");
+            assert_eq!(out.log.events, folded.log.events, "prepared={prepared}");
+            assert_eq!(out.mappings, folded.mappings, "prepared={prepared}");
         }
     }
 
     #[test]
-    fn pipelined_merge_handles_cross_kind_id_families() {
+    fn cross_kind_id_families_prepared_equals_raw() {
         // Adversarial id overlaps across kinds: an incoming parameter and
         // an incoming species fighting over one id family, a function id
         // colliding with a pre-existing species id, and references to the
-        // winners from math-bearing kinds. These force the taken-registry
-        // family edges and the cross-kind mapping-shard edges.
+        // winners from math-bearing kinds. The prepared push (cached keys
+        // revalidated under the push's mappings) must equal the raw push
+        // (every key computed inline) byte for byte.
         use sbml_math::infix;
         use sbml_model::{FunctionDefinition, Rule};
 
@@ -1676,103 +1494,54 @@ mod tests {
             Some(sbml_model::KineticLaw::new(infix::parse("x_1(k) * x").unwrap()));
         b.reactions.push(r);
 
-        let serial_opts = ComposeOptions::default()
-            .with_merge_pipeline(false)
-            .with_parallel_push_threshold(0);
-        let run = |options: &ComposeOptions| {
-            let mut session = CompositionSession::new(options);
-            session.push(&a);
-            session.push(&b);
-            session.finish()
-        };
-        let serial = run(&serial_opts);
-        for threads in [2, 4, 8] {
-            let opts = ComposeOptions::default()
-                .with_parallel_push_threshold(0)
-                .with_pipeline_threads(threads);
-            let out = run(&opts);
-            assert_eq!(out.model, serial.model, "threads={threads}");
-            assert_eq!(out.log.events, serial.log.events, "threads={threads}");
-            assert_eq!(out.mappings, serial.mappings, "threads={threads}");
-        }
+        let options = ComposeOptions::default();
+        let models = [a, b];
+        let raw = run_chain(&options, &models, false);
+        assert_eq!(raw.mappings.get("k").map(String::as_str), Some("k_1"));
+        assert!(raw.mappings.contains_key("x_1"), "the clashing function id is renamed");
+        let prepared = run_chain(&options, &models, true);
+        assert_eq!(prepared.model, raw.model);
+        assert_eq!(prepared.log.events, raw.log.events);
+        assert_eq!(prepared.mappings, raw.mappings);
     }
 
     #[test]
     fn key_rename_ablation_does_not_change_output() {
+        // Prepared pushes carry cached keys, the only keys the incremental
+        // rename revalidates; raw pushes compute every key inline.
         let models: Vec<Model> = (0..4).map(conflict_model).collect();
-        let run = |options: &ComposeOptions| {
-            let mut session = CompositionSession::new(options);
-            for m in &models {
-                session.push(m);
-            }
-            session.finish()
-        };
-        let fast = run(&ComposeOptions::default().with_parallel_push_threshold(0));
-        let slow = run(
-            &ComposeOptions::default()
-                .with_parallel_push_threshold(0)
-                .with_incremental_key_rename(false),
-        );
+        let fast = run_chain(&ComposeOptions::default(), &models, true);
+        let slow =
+            run_chain(&ComposeOptions::default().with_incremental_key_rename(false), &models, true);
         assert_eq!(fast.model, slow.model);
         assert_eq!(fast.log.events, slow.log.events);
         assert_eq!(fast.mappings, slow.mappings);
     }
 
     #[test]
-    fn prepared_models_survive_pipeline_setting_changes() {
-        // Pipeline knobs are execution details: a preparation built under
-        // pipeline-off options must be accepted (and produce identical
-        // output) under pipeline-on options and vice versa.
-        let off = ComposeOptions::default()
-            .with_merge_pipeline(false)
-            .with_parallel_push_threshold(0);
-        let on = ComposeOptions::default()
-            .with_parallel_push_threshold(0)
-            .with_pipeline_threads(4);
+    fn prepared_models_survive_execution_knob_changes() {
+        // Key renaming and COW adoption are execution details: a
+        // preparation built under one setting must be accepted (and
+        // produce identical output) under the other.
+        let plain = ComposeOptions::default();
+        let other = ComposeOptions::default()
+            .with_incremental_key_rename(false)
+            .with_adopt_base(false);
         let models: Vec<Model> = (0..3).map(conflict_model).collect();
-        let prepared_off: Vec<PreparedModel> =
-            models.iter().map(|m| PreparedModel::new(m, &off)).collect();
+        let prepared: Vec<PreparedModel> =
+            models.iter().map(|m| PreparedModel::new(m, &plain)).collect();
 
-        let run = |options: &ComposeOptions, prepared: &[PreparedModel]| {
+        let run = |options: &ComposeOptions| {
             let mut session = CompositionSession::new(options);
-            for p in prepared {
+            for p in &prepared {
                 session.push_prepared(p);
             }
             session.finish()
         };
-        let serial = run(&off, &prepared_off);
-        let pipelined = run(&on, &prepared_off); // cross-setting acceptance
-        assert_eq!(pipelined.model, serial.model);
-        assert_eq!(pipelined.log.events, serial.log.events);
-        assert_eq!(pipelined.mappings, serial.mappings);
-    }
-
-    #[test]
-    fn parallel_push_threshold_does_not_change_output() {
-        // Force the within-push parallel key path for every push (and the
-        // one-shot compose entry points, which ride push_final) and
-        // compare against the never-parallel path.
-        let serial_opts = ComposeOptions::default().with_parallel_push_threshold(usize::MAX);
-        let parallel_opts = ComposeOptions::default().with_parallel_push_threshold(0);
-        let models: Vec<Model> = (0..6).map(chain_model).collect();
-
-        let run = |options: &ComposeOptions| {
-            let mut session = CompositionSession::new(options);
-            for m in &models {
-                session.push(m);
-            }
-            session.finish()
-        };
-        let serial = run(&serial_opts);
-        let parallel = run(&parallel_opts);
-        assert_eq!(parallel.model, serial.model);
-        assert_eq!(parallel.log.events, serial.log.events);
-        assert_eq!(parallel.mappings, serial.mappings);
-
-        let pair_serial = Composer::new(serial_opts.clone()).compose(&models[0], &models[1]);
-        let pair_parallel = Composer::new(parallel_opts.clone()).compose(&models[0], &models[1]);
-        assert_eq!(pair_parallel.model, pair_serial.model);
-        assert_eq!(pair_parallel.log.events, pair_serial.log.events);
-        assert_eq!(pair_parallel.mappings, pair_serial.mappings);
+        let reference = run(&plain);
+        let crossed = run(&other); // cross-setting acceptance
+        assert_eq!(crossed.model, reference.model);
+        assert_eq!(crossed.log.events, reference.log.events);
+        assert_eq!(crossed.mappings, reference.mappings);
     }
 }

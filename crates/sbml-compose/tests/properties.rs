@@ -419,7 +419,6 @@ mod incremental_value_props {
                 ComposeOptions::light(),
                 ComposeOptions::none(),
                 ComposeOptions::default().with_incremental_initial_values(false),
-                ComposeOptions::default().with_parallel_push_threshold(0),
             ] {
                 let mut session = CompositionSession::new(&options);
                 for (i, m) in models.iter().enumerate() {
@@ -437,28 +436,22 @@ mod incremental_value_props {
             }
         }
 
-        /// The incremental-store and parallel-key ablations are
-        /// output-invisible: every combination equals the re-collect,
-        /// never-parallel session AND the pairwise fold, per semantics
+        /// The incremental-store ablation is output-invisible: with the
+        /// store on or off (and with value collection off altogether) a
+        /// session equals the re-collect pairwise fold, per semantics
         /// level.
         #[test]
-        fn incremental_and_parallel_knobs_never_change_output(
+        fn incremental_values_knob_never_changes_output(
             models in proptest::collection::vec(rich_model_strategy(), 0..5)
         ) {
             for base in [ComposeOptions::heavy(), ComposeOptions::light(), ComposeOptions::none()] {
-                let reference_options = base
-                    .clone()
-                    .with_incremental_initial_values(false)
-                    .with_parallel_push_threshold(usize::MAX);
+                let reference_options = base.clone().with_incremental_initial_values(false);
                 let folded =
                     compose_many_pairwise(&Composer::new(reference_options.clone()), &models);
                 for options in [
                     base.clone(),
-                    base.clone().with_parallel_push_threshold(0),
                     base.clone().with_incremental_initial_values(false),
-                    base.clone()
-                        .with_initial_values(false)
-                        .with_parallel_push_threshold(0),
+                    base.clone().with_initial_values(false),
                 ] {
                     let collects_values = options.collect_initial_values;
                     let mut session = CompositionSession::new(&options);
@@ -485,65 +478,38 @@ mod incremental_value_props {
             }
         }
 
-        /// The merge-pass pipeline and the incremental cached-key rename
-        /// are output-invisible: for every semantics level, pipelined
-        /// sessions (any worker count, raw and prepared pushes) and the
-        /// full-recompute ablation all produce the model, log event
-        /// sequence and mappings of the serial pass order.
+        /// The incremental cached-key rename is output-invisible: for
+        /// every semantics level, prepared sessions (whose cached keys
+        /// the rename revalidates) with the rename on equal the
+        /// full-recompute ablation and the raw session (every key
+        /// computed inline) — model, log event sequence and mappings.
         #[test]
-        fn merge_pipeline_and_key_rename_never_change_output(
+        fn key_rename_never_changes_output(
             models in proptest::collection::vec(rich_model_strategy(), 0..4),
-            threads in 1usize..5,
         ) {
             use sbml_compose::PreparedModel;
             for base in [ComposeOptions::heavy(), ComposeOptions::light(), ComposeOptions::none()] {
-                // Serial reference: pipeline off, keys still precomputed
-                // (threshold 0) so the cached-key paths are exercised.
-                let reference = base
-                    .clone()
-                    .with_merge_pipeline(false)
-                    .with_parallel_push_threshold(0);
-                let mut serial = CompositionSession::new(&reference);
+                let mut raw = CompositionSession::new(&base);
                 for m in &models {
-                    serial.push(m);
+                    raw.push(m);
                 }
-                let serial = serial.finish();
+                let raw = raw.finish();
 
-                for options in [
-                    base.clone().with_parallel_push_threshold(0).with_pipeline_threads(threads),
-                    base.clone()
-                        .with_parallel_push_threshold(0)
-                        .with_pipeline_threads(threads)
-                        .with_incremental_key_rename(false),
-                    base.clone()
-                        .with_merge_pipeline(false)
-                        .with_parallel_push_threshold(0)
-                        .with_incremental_key_rename(false),
-                ] {
-                    let mut session = CompositionSession::new(&options);
-                    for m in &models {
-                        session.push(m);
+                // The ablation shares the fingerprint, so one preparation
+                // serves both sessions.
+                let rekey = base.clone().with_incremental_key_rename(false);
+                let prepared: Vec<PreparedModel> =
+                    models.iter().map(|m| PreparedModel::new(m, &base)).collect();
+                for options in [&base, &rekey] {
+                    let mut session = CompositionSession::new(options);
+                    for p in &prepared {
+                        session.push_prepared(p);
                     }
                     let out = session.finish();
-                    prop_assert_eq!(&out.model, &serial.model, "threads={}", threads);
-                    prop_assert_eq!(&out.log.events, &serial.log.events, "threads={}", threads);
-                    prop_assert_eq!(&out.mappings, &serial.mappings, "threads={}", threads);
+                    prop_assert_eq!(&out.model, &raw.model);
+                    prop_assert_eq!(&out.log.events, &raw.log.events);
+                    prop_assert_eq!(&out.mappings, &raw.mappings);
                 }
-
-                // Prepared pushes ride the pipeline too — and a prepared
-                // model built under the serial options must be accepted by
-                // the pipelined session (pipeline knobs are fingerprint-
-                // neutral).
-                let pipelined =
-                    base.clone().with_parallel_push_threshold(0).with_pipeline_threads(threads);
-                let mut session = CompositionSession::new(&pipelined);
-                for m in &models {
-                    session.push_prepared(&PreparedModel::new(m, &reference));
-                }
-                let out = session.finish();
-                prop_assert_eq!(&out.model, &serial.model);
-                prop_assert_eq!(&out.log.events, &serial.log.events);
-                prop_assert_eq!(&out.mappings, &serial.mappings);
             }
         }
     }

@@ -39,9 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use sbml_compose::{
-    BatchComposer, Budget, ComposeOptions, Composer, CompositionSession, WorkerPool,
-};
+use sbml_compose::{BatchComposer, Budget, ComposeOptions, Composer, CompositionSession};
 use sbml_match::MatchIndex;
 use sbml_model::{parse_sbml, write_sbml, Model};
 
@@ -145,10 +143,6 @@ struct ServeState {
     /// This daemon's (shard, shards) position; `(0, 1)` standalone.
     shard: usize,
     shards: usize,
-    /// Daemon-lifetime compose worker pool: every COMPOSE session on
-    /// every connection shares these parked threads instead of spawning
-    /// scoped threads per request.
-    compose_pool: Arc<WorkerPool>,
 }
 
 /// A bound, not-yet-running daemon. [`Server::run`] blocks until a
@@ -272,7 +266,6 @@ impl Server {
                 )
             }
         };
-        let options_pool_threads = options.pool_threads;
         let state = Arc::new(ServeState {
             cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             metrics: Metrics::new(),
@@ -283,10 +276,6 @@ impl Server {
             addr: local,
             shard,
             shards,
-            compose_pool: Arc::new(match options_pool_threads {
-                0 => WorkerPool::for_host(),
-                n => WorkerPool::new(n),
-            }),
         });
         Ok(Server { listener, state })
     }
@@ -602,7 +591,6 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
             }
             let meter = budget.start();
             let mut session = CompositionSession::new(&state.options);
-            session.set_pool(Arc::clone(&state.compose_pool));
             for model in &models {
                 if let Err(error) = session.push_guarded(model, Some(&meter)) {
                     Metrics::bump(&state.metrics.budget_cuts);

@@ -3,7 +3,6 @@
 //! ```text
 //! sbmlcompose compose  <a.xml> <b.xml> [<c.xml>...] [-o merged.xml] [--log log.txt]
 //!                      [--semantics heavy|light|none] [--index hash|btree|linear]
-//!                      [--pipeline on|off] [--pipeline-threads N]
 //!                      [--deadline-ms N] [--max-steps N]
 //! sbmlcompose match    <query.xml> <corpus.xml>... [--semantics heavy|light|none]
 //!                      [--top K] [--threads N] [--deadline-ms N] [--max-steps N]
@@ -47,18 +46,17 @@
 //! to the pairwise fold either way. `--semantics` picks the §5 matching
 //! level (default `heavy`: synonyms, commutative math patterns, unit
 //! conversion, initial-value evaluation); `--index` the lookup structure
-//! (default `hash`). `--pipeline` toggles the merge-pass dependency-DAG
-//! pipeline (default `on`; output is bit-for-bit identical either way)
-//! and `--pipeline-threads` bounds its workers (default `0` = host
-//! parallelism; the engine caps at the machine's cores). Without `-o` the
-//! merged SBML goes to stdout; without `--log` the decision log
-//! (duplicates, mappings, renames, conflicts) goes to stderr.
+//! (default `hash`). Without `-o` the merged SBML goes to stdout; without
+//! `--log` the decision log (duplicates, mappings, renames, conflicts)
+//! goes to stderr. Any other `--flag` is rejected with an error naming it
+//! (exit 3, the code a script passing a removed flag already saw when the
+//! flag was read as an input file).
 //!
 //! `--deadline-ms` / `--max-steps` put the whole compose run under a
-//! [`Budget`]: pushes are merged through a guarded session ([the
-//! degradation ladder](sbmlcompose::compose::guard)), and if the budget
-//! runs out (or a push fails on both the pipelined and serial paths) the
-//! models merged so far are still written, flagged partial via exit 4.
+//! [`Budget`]: pushes are merged through a guarded session (see
+//! [`sbmlcompose::compose::guard`]), and if the budget runs out (or a
+//! push panics and is rolled back) the models merged so far are still
+//! written, flagged partial via exit 4.
 //!
 //! `snapshot build` prepares every `.xml` model in a directory once,
 //! builds the match index (`--shards` partitions its posting lists for
@@ -175,14 +173,11 @@ fn print_usage() {
          usage:\n\
          \x20 sbmlcompose compose  <a.xml> <b.xml> [<c.xml>...] [-o merged.xml] [--log log.txt]\n\
          \x20                      [--semantics heavy|light|none] [--index hash|btree|linear]\n\
-         \x20                      [--pipeline on|off] [--pipeline-threads N]\n\
          \x20                      [--deadline-ms N] [--max-steps N]\n\
          \x20        composes two or more models left to right (first file is the base).\n\
          \x20        3+ files are analysed once each (prepared models) and folded through\n\
          \x20        one composition session; output is identical to the pairwise fold.\n\
          \x20        -o: merged SBML (default stdout); --log: decision log (default stderr)\n\
-         \x20        --pipeline: merge-pass dependency-DAG pipeline (default on; output\n\
-         \x20        identical either way); --pipeline-threads: worker bound (0 = cores)\n\
          \x20        --deadline-ms/--max-steps: wall-clock/work budget; when it runs out\n\
          \x20        the models merged so far are written and the exit code is 4\n\
          \x20 sbmlcompose match    <query.xml> <corpus.xml>... [--semantics heavy|light|none]\n\
@@ -295,15 +290,17 @@ fn cmd_compose(args: &[String]) -> Result<ExitCode, CliError> {
         Some("linear") => IndexKind::LinearScan,
         Some(other) => return Err(format!("unknown index kind {other:?}").into()),
     };
-    let merge_pipeline = match take_flag(&mut args, "--pipeline").as_deref() {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("--pipeline takes on|off, not {other:?}").into()),
-    };
-    let pipeline_threads = match take_flag(&mut args, "--pipeline-threads") {
-        None => 0,
-        Some(v) => v.parse::<usize>().map_err(|_| format!("bad --pipeline-threads {v:?}"))?,
-    };
+    // Every known flag with its value has been taken out by now; a
+    // `--flag` left over is missing its value, a typo or a removed option —
+    // never an input file to read.
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        if ["--log", "--deadline-ms", "--max-steps", "--semantics", "--index"]
+            .contains(&flag.as_str())
+        {
+            return Err(format!("{flag} needs a value").into());
+        }
+        return Err(CliError::Input(format!("unrecognised compose flag {flag:?}")));
+    }
     if args.len() < 2 {
         return Err("compose needs at least two input files".into());
     }
@@ -315,13 +312,11 @@ fn cmd_compose(args: &[String]) -> Result<ExitCode, CliError> {
         SemanticsLevel::None => ComposeOptions::none(),
     };
     options.index = index;
-    options.merge_pipeline = merge_pipeline;
-    options.pipeline_threads = pipeline_threads;
     let (result, guard_fault) = if deadline_ms.is_some() || max_steps.is_some() {
         // Budgeted run: fold through a guarded session. A push that
-        // exhausts the budget (or panics on both the pipelined and the
-        // serial path) stops the fold; everything merged before it is
-        // still written out, flagged as partial via exit code 4.
+        // exhausts the budget (or panics and is rolled back) stops the
+        // fold; everything merged before it is still written out, flagged
+        // as partial via exit code 4.
         let mut budget = Budget::unlimited();
         if let Some(ms) = deadline_ms {
             budget = budget.with_deadline_ms(ms);
@@ -333,20 +328,10 @@ fn cmd_compose(args: &[String]) -> Result<ExitCode, CliError> {
         let mut session = CompositionSession::new(&options);
         let mut fault: Option<ExecError> = None;
         for (i, model) in models.iter().enumerate() {
-            match session.push_guarded(model, Some(&meter)) {
-                Ok(outcome) => {
-                    if let Some(degraded) = outcome.degraded {
-                        eprintln!(
-                            "warning: {} merged on the serial fallback path: {degraded}",
-                            args[i]
-                        );
-                    }
-                }
-                Err(error) => {
-                    eprintln!("warning: stopped before {}: {error}", args[i]);
-                    fault = Some(error);
-                    break;
-                }
+            if let Err(error) = session.push_guarded(model, Some(&meter)) {
+                eprintln!("warning: stopped before {}: {error}", args[i]);
+                fault = Some(error);
+                break;
             }
         }
         (session.finish(), fault)

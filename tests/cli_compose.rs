@@ -96,39 +96,39 @@ fn compose_chains_more_than_two_files() {
 }
 
 #[test]
-fn compose_pipeline_flags_do_not_change_output() {
-    // The merge-pass pipeline is an execution detail: --pipeline off and
-    // an explicit --pipeline-threads bound must produce byte-identical
-    // merged SBML.
-    let dir = scratch("pipeline");
-    let models: Vec<Model> = (0..3).map(chain_model).collect();
+fn compose_rejects_unrecognised_flags_by_name_with_exit_3() {
+    // A removed or misspelt flag must not be read as an input file: the
+    // error names the flag, writes nothing and exits 3.
+    let dir = scratch("flags");
+    let models: Vec<Model> = (0..2).map(chain_model).collect();
     let inputs = write_inputs(&dir, &models);
+    let out = dir.join("merged.xml");
 
-    let run = |extra: &[&str], out: &std::path::Path| {
-        let status = Command::new(env!("CARGO_BIN_EXE_sbmlcompose"))
+    for extra in [&["--pipeline", "off"][..], &["--pipeline-threads", "4"], &["--semantic"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_sbmlcompose"))
             .arg("compose")
             .args(&inputs)
-            .args(["-o", &out.to_string_lossy(), "--log", &dir.join("p.log").to_string_lossy()])
+            .args(["-o", &out.to_string_lossy()])
             .args(extra)
-            .status()
+            .output()
             .expect("run sbmlcompose");
-        assert!(status.success());
-        fs::read_to_string(out).expect("read merged output")
-    };
-    let default = run(&[], &dir.join("default.xml"));
-    let off = run(&["--pipeline", "off"], &dir.join("off.xml"));
-    let threaded = run(&["--pipeline-threads", "4"], &dir.join("threads.xml"));
-    assert_eq!(default, off);
-    assert_eq!(default, threaded);
+        assert_eq!(output.status.code(), Some(3), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(stderr.lines().count(), 1, "one-line diagnostic: {stderr:?}");
+        assert!(stderr.contains(&format!("unrecognised compose flag {:?}", extra[0])), "{stderr}");
+        assert!(!stderr.contains("cannot read"), "{stderr}");
+        assert!(!out.exists(), "{extra:?}: nothing written");
+    }
 
-    // Bad values are usage errors.
+    // A known flag without its value is a usage error instead.
     let output = Command::new(env!("CARGO_BIN_EXE_sbmlcompose"))
         .arg("compose")
         .args(&inputs)
-        .args(["--pipeline", "sideways"])
+        .arg("--log")
         .output()
         .expect("run sbmlcompose");
     assert_eq!(output.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&output.stderr).contains("--log needs a value"));
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,13 +1,11 @@
 //! Differential test harness for the zero-copy session machinery.
 //!
-//! Proves the two execution-detail layers introduced with copy-on-write
-//! base adoption — the COW accumulator itself and the session-lifetime
-//! [`WorkerPool`](sbml_compose::WorkerPool) — bit-identical to the eager
+//! Proves the copy-on-write accumulator bit-identical to the eager
 //! clone-on-adopt reference across:
 //!
 //! * all three semantics levels × the knob ablations (content-key cache,
-//!   incremental initial values, merge pipeline, forced-parallel pushes),
-//! * worker counts 1..8,
+//!   incremental initial values, incremental key rename, initial values),
+//! * pool sizes 1..8 (`pool_threads` must stay output-neutral),
 //! * every push entry point (raw / prepared / guarded),
 //! * rollback: a failed guarded push must leave the shared base
 //!   untouched (covered against injected faults in
@@ -22,7 +20,8 @@ use compose_bench::oracle::{
     self, assert_cow_matches_clone, base_model, duplicate_push, overlap_push, PushMode,
 };
 use sbml_compose::{
-    Budget, ComposeOptions, Composer, CompositionSession, SemanticsLevel, SharedModel,
+    BatchComposer, Budget, ComposeOptions, Composer, CompositionSession, SemanticsLevel,
+    SharedModel,
 };
 
 fn semantics_levels() -> [ComposeOptions; 3] {
@@ -36,8 +35,7 @@ fn ablations(options: &ComposeOptions) -> Vec<(&'static str, ComposeOptions)> {
         ("default", options.clone()),
         ("no-content-key-cache", options.clone().with_content_key_cache(false)),
         ("no-incremental-ivs", options.clone().with_incremental_initial_values(false)),
-        ("no-merge-pipeline", options.clone().with_merge_pipeline(false)),
-        ("forced-parallel-push", options.clone().with_parallel_push_threshold(0)),
+        ("no-key-rename", options.clone().with_incremental_key_rename(false)),
         ("no-initial-values", options.clone().with_initial_values(false)),
     ]
 }
@@ -185,27 +183,29 @@ fn semantics_none_duplicates_still_share() {
 
 #[test]
 fn one_pool_serves_many_sessions_against_one_base() {
-    // The serving shape: one hot base, one long-lived pool, many
-    // sessions. Every composition must match the clone oracle and the
-    // base Arc must end with no session still holding it.
-    let options = ComposeOptions::default().with_parallel_push_threshold(0);
-    let composer = Composer::new(options.clone());
+    // The serving shape: one hot base, one long-lived batch pool, many
+    // COW sessions running concurrently on its lanes. Every composition
+    // must match the clone oracle and the base Arc must end with no
+    // session still holding it.
+    let options = ComposeOptions::default().with_pool_threads(4);
+    let batch = BatchComposer::new(Composer::new(options.clone())).with_threads(4);
+    let composer = batch.composer();
     let base = Arc::new(composer.prepare(&base_model(6)));
-    let pool = Arc::new(sbml_compose::WorkerPool::new(4));
-    for seed in 0..6 {
-        let push = if seed % 2 == 0 { duplicate_push(3) } else { overlap_push(seed) };
-        let prepared_push = composer.prepare(&push);
-        let result = composer.compose_shared_on(
-            Arc::clone(&base),
-            &prepared_push,
-            Some(Arc::clone(&pool)),
-        );
-        let reference = oracle::reference_compose(&options, base.model(), &push);
+    let pushes: Vec<_> = (0..6)
+        .map(|seed| if seed % 2 == 0 { duplicate_push(3) } else { overlap_push(seed) })
+        .collect();
+    let prepared_pushes = batch.prepare_corpus(&pushes);
+    let results = batch.map_corpus(&prepared_pushes, |_, p| {
+        composer.compose_shared(Arc::clone(&base), p)
+    });
+    for (seed, (result, push)) in results.iter().zip(&pushes).enumerate() {
+        let reference = oracle::reference_compose(&options, base.model(), push);
         assert_eq!(result.model.as_model(), &reference.model, "seed={seed}");
         assert_eq!(result.log.events, reference.log.events, "seed={seed}");
         assert_eq!(result.mappings, reference.mappings, "seed={seed}");
         assert_eq!(result.model.is_base(), seed % 2 == 0, "seed={seed}");
     }
-    // Only our own handle remains.
+    // Only our own handle remains once the results are dropped.
+    drop(results);
     assert_eq!(Arc::strong_count(&base), 1);
 }

@@ -1,14 +1,16 @@
-//! Deterministic fault-injection suite (tentpole of the robustness PR):
-//! every injected fault must surface as a structured [`ExecError`] at the
-//! site it was injected, survivors must be bit-identical to a fault-free
-//! run, and the degradation ladder's serial fallback must reproduce the
-//! pipelined result.
+//! Deterministic fault-injection suite: every injected fault must surface
+//! as a structured [`ExecError`] attributed to its containment boundary,
+//! survivors must be bit-identical to a fault-free run, and a push that
+//! faults at any of the twelve merge-pass boundaries — after the earlier
+//! passes have already appended to the accumulator — must roll back to
+//! its exact pre-push state.
 //!
 //! Compiled only with the `fault-injection` feature (`ci.sh` runs
 //! `cargo test --features fault-injection --test fault_isolation`); the
-//! armed fail points live behind [`guard::fail_point`]. Plans are armed
-//! through a global serial lock, so these tests never contaminate each
-//! other even under the parallel test runner.
+//! armed fail points live behind [`guard::fail_point`]. A plan is
+//! process-global and every push crosses the twelve `Site::Pass` points,
+//! so a fault-free push in one test could trip a plan armed by another:
+//! every test here holds [`exclusive`] for its whole body.
 
 #![cfg(feature = "fault-injection")]
 
@@ -19,6 +21,12 @@ use sbmlcompose::compose::{
 };
 use sbmlcompose::model::builder::ModelBuilder;
 use sbmlcompose::model::{write_sbml, Model};
+
+/// Serialise the tests of this file (see the module docs).
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A linear pathway with `n` reactions over distinctly-named species;
 /// `tag` keeps two chains overlapping but not identical.
@@ -39,10 +47,9 @@ fn chain(id: &str, tag: &str, n: usize) -> Model {
 }
 
 /// A [`chain`] extended with every remaining component kind (functions,
-/// units, types, initial assignments, rules, constraints, events). The
-/// pipeline pre-marks a pass whose kind is absent from the incoming model
-/// as done without running it, so a pushed model must populate all twelve
-/// kinds for all twelve `Site::Pass` fail points to be reachable.
+/// units, types, initial assignments, rules, constraints, events), so a
+/// fault at `Site::Pass(k)` lands after passes `0..k` have each done real
+/// work on the accumulator — the partial merge rollback must undo.
 fn rich(id: &str, tag: &str, n: usize) -> Model {
     use sbmlcompose::units::{Unit, UnitDefinition, UnitKind};
     let mut b = ModelBuilder::new(id)
@@ -76,62 +83,31 @@ fn rich(id: &str, tag: &str, n: usize) -> Model {
         .build()
 }
 
-/// Options that force the pipelined DAG executor on for every push, so
-/// the `Site::Pass` fail points are actually reached.
-fn pipelined_options() -> ComposeOptions {
-    ComposeOptions::default()
-        .with_parallel_push_threshold(1)
-        .with_merge_pipeline(true)
-        .with_pipeline_threads(2)
-}
-
-/// The merged output of a fault-free guarded two-model composition.
-fn fault_free_reference(options: &ComposeOptions, a: &Model, b: &Model) -> (String, String) {
-    let mut session = CompositionSession::new(options);
-    session.push_guarded(a, None).expect("fault-free push");
-    let outcome = session.push_guarded(b, None).expect("fault-free push");
-    assert_eq!(outcome.degraded, None, "no fault, no degradation");
-    let result = session.finish();
-    (write_sbml(&result.model), result.log.to_text())
-}
-
-#[test]
-fn injected_pass_fault_degrades_to_identical_serial_result() {
-    let options = pipelined_options();
-    let a = rich("a", "x", 6);
-    let b = rich("b", "x", 9);
-    let (want_xml, want_log) = fault_free_reference(&options, &a, &b);
-
-    // Every one of the twelve merge passes is a containment boundary.
-    for pass in 0..12 {
-        let plan = FailPlan::new().fail_at(Site::Pass(pass));
-        let (xml, log, outcome) = with_plan(plan, || {
-            let mut session = CompositionSession::new(&options);
-            session.push_guarded(&a, None).expect("first push adopts the base");
-            let outcome = session.push_guarded(&b, None).expect("degraded, not failed");
-            let result = session.finish();
-            (write_sbml(&result.model), result.log.to_text(), outcome)
-        });
-        match outcome.degraded {
-            Some(ExecError::Panicked { site, ref detail }) => {
-                assert_eq!(site, Site::Pass(pass), "fault attributed to the injected site");
-                assert!(detail.contains(INJECTED), "payload preserved: {detail}");
-            }
-            other => panic!("pass {pass}: expected a contained panic, got {other:?}"),
+/// Assert `err` is the contained injected panic of `Site::Pass(pass)`,
+/// reported at the enclosing push `push`.
+fn assert_pass_fault(err: &ExecError, pass: usize, push: usize) {
+    match err {
+        ExecError::Panicked { site, detail } => {
+            assert_eq!(*site, Site::Push(push), "pass {pass}: attributed to the failed push");
+            assert!(detail.contains(INJECTED), "pass {pass}: payload preserved: {detail}");
+            assert!(
+                detail.contains(&Site::Pass(pass).to_string()),
+                "pass {pass}: fired at the injected boundary: {detail}"
+            );
         }
-        assert_eq!(xml, want_xml, "pass {pass}: serial fallback must reproduce the result");
-        assert_eq!(log, want_log, "pass {pass}: decision log identical too");
+        other => panic!("pass {pass}: expected a contained panic, got {other:?}"),
     }
 }
 
 #[test]
 fn pass_and_push_fault_fails_push_and_leaves_accumulator_intact() {
-    let options = pipelined_options();
+    let _exclusive = exclusive();
+    let options = ComposeOptions::default();
     let a = rich("a", "x", 6);
     let b = rich("b", "x", 9);
 
     // Base-only reference: what the session must still hold after the
-    // second push fails on *both* rungs of the ladder.
+    // second push fails.
     let base_only = {
         let mut session = CompositionSession::new(&options);
         session.push_guarded(&a, None).expect("push");
@@ -139,48 +115,51 @@ fn pass_and_push_fault_fails_push_and_leaves_accumulator_intact() {
         (write_sbml(&result.model), result.log.to_text())
     };
 
-    // Fail the pipelined attempt (any pass) and the serial retry (the
-    // push-level fail point) — the whole push must error out.
-    let plan = FailPlan::new().fail_at(Site::Pass(3)).fail_at(Site::Push(1));
-    let (xml, log, err) = with_plan(plan, || {
-        let mut session = CompositionSession::new(&options);
-        session.push_guarded(&a, None).expect("first push adopts the base");
-        let err = session.push_guarded(&b, None).expect_err("both rungs fail");
-        let result = session.finish();
-        (write_sbml(&result.model), result.log.to_text(), err)
-    });
-    match err {
-        ExecError::Panicked { site, ref detail } => {
-            assert_eq!(site, Site::Push(1), "attributed to the failed push");
-            assert!(detail.contains(INJECTED), "{detail}");
-        }
-        other => panic!("expected a contained panic, got {other:?}"),
+    // Fail the push at every pass boundary in turn — the whole push must
+    // error out and leave no trace, however many passes had appended.
+    for pass in 0..12 {
+        let plan = FailPlan::new().fail_at(Site::Pass(pass));
+        let (xml, log, err) = with_plan(plan, || {
+            let mut session = CompositionSession::new(&options);
+            session.push_guarded(&a, None).expect("first push adopts the base");
+            let err = session.push_guarded(&b, None).expect_err("the faulted push fails");
+            let result = session.finish();
+            (write_sbml(&result.model), result.log.to_text(), err)
+        });
+        assert_pass_fault(&err, pass, 1);
+        assert_eq!(xml, base_only.0, "pass {pass}: failed push must not change the accumulator");
+        assert_eq!(log, base_only.1, "pass {pass}: failed push must not leak log events");
     }
-    assert_eq!(xml, base_only.0, "failed push must not change the accumulator");
-    assert_eq!(log, base_only.1, "failed push must not leak log events");
 }
 
 #[test]
 fn session_survives_a_failed_push_and_accepts_the_next() {
-    let options = pipelined_options();
+    let _exclusive = exclusive();
+    let options = ComposeOptions::default();
     let a = rich("a", "x", 6);
     let b = rich("b", "x", 9);
+    let want = {
+        let mut session = CompositionSession::new(&options);
+        session.push_guarded(&a, None).expect("push");
+        session.push_guarded(&b, None).expect("push");
+        write_sbml(&session.finish().model)
+    };
 
-    let mut session = CompositionSession::new(&options);
-    session.push_guarded(&a, None).expect("push");
-    let plan = FailPlan::new().fail_at(Site::Pass(0)).fail_at(Site::Push(1));
-    with_plan(plan, || {
-        session.push_guarded(&b, None).expect_err("both rungs fail");
-    });
-    // Disarmed again: the same push now succeeds cleanly.
-    let outcome = session.push_guarded(&b, None).expect("push after rollback");
-    assert_eq!(outcome.degraded, None);
-    let merged = session.finish().model;
-    assert!(merged.species.len() >= b.species.len(), "second model actually merged");
+    for pass in 0..12 {
+        let mut session = CompositionSession::new(&options);
+        session.push_guarded(&a, None).expect("push");
+        with_plan(FailPlan::new().fail_at(Site::Pass(pass)), || {
+            session.push_guarded(&b, None).expect_err("the faulted push fails");
+        });
+        // Disarmed again: the same push now succeeds cleanly.
+        session.push_guarded(&b, None).expect("push after rollback");
+        assert_eq!(write_sbml(&session.finish().model), want, "pass {pass}");
+    }
 }
 
 #[test]
 fn batch_shard_fault_is_contained_to_its_item() {
+    let _exclusive = exclusive();
     let options = ComposeOptions::default();
     let batch = BatchComposer::new(Composer::new(options));
     let models: Vec<Model> =
@@ -211,6 +190,7 @@ fn batch_shard_fault_is_contained_to_its_item() {
 
 #[test]
 fn batch_step_budget_cuts_a_deterministic_suffix() {
+    let _exclusive = exclusive();
     let options = ComposeOptions::default();
     let models: Vec<Model> =
         (0..6).map(|i| chain(&format!("m{i}"), "x", 4)).collect();
@@ -247,6 +227,7 @@ fn batch_step_budget_cuts_a_deterministic_suffix() {
 
 #[test]
 fn zero_deadline_fails_every_batch_item() {
+    let _exclusive = exclusive();
     let options = ComposeOptions::default();
     let batch = BatchComposer::new(Composer::new(options));
     let models: Vec<Model> = (0..4).map(|i| chain(&format!("m{i}"), "x", 3)).collect();
@@ -269,28 +250,30 @@ fn zero_deadline_fails_every_batch_item() {
 
 #[test]
 fn cow_failed_push_leaves_shared_base_unmaterialised() {
+    let _exclusive = exclusive();
     use std::sync::Arc;
 
-    let options = pipelined_options();
+    let options = ComposeOptions::default();
     let composer = Composer::new(options.clone());
     let base = rich("base", "x", 8);
     let prepared_base = Arc::new(composer.prepare(&base));
     let base_xml = write_sbml(prepared_base.model());
     let incoming = rich("b", "y", 6);
 
-    // Fail every one of the twelve pass boundaries (pipelined rung), plus
-    // the serial retry, while the accumulator still *is* the shared base.
+    // Fail every one of the twelve pass boundaries while the accumulator
+    // still *is* the shared base: from pass 1 on, the function pass has
+    // already materialised part of it.
     for pass in 0..12 {
         let mut session =
             CompositionSession::with_shared_base(&options, Arc::clone(&prepared_base));
         assert!(session.is_base_shared());
         let arcs_before = Arc::strong_count(&prepared_base);
 
-        let plan = FailPlan::new().fail_at(Site::Pass(pass)).fail_at(Site::Push(0));
+        let plan = FailPlan::new().fail_at(Site::Pass(pass));
         let err = with_plan(plan, || {
-            session.push_guarded(&incoming, None).expect_err("both rungs fail")
+            session.push_guarded(&incoming, None).expect_err("the faulted push fails")
         });
-        assert!(matches!(err, ExecError::Panicked { site: Site::Push(0), .. }), "{err:?}");
+        assert_pass_fault(&err, pass, 0);
 
         // Rollback must re-adopt the base wholesale: no kind left
         // materialised, no extra Arc handle leaked, accumulator
@@ -304,12 +287,14 @@ fn cow_failed_push_leaves_shared_base_unmaterialised() {
 
 #[test]
 fn cow_session_interleaved_entrypoints_under_faults_match_fault_free() {
+    let _exclusive = exclusive();
     use std::sync::Arc;
 
-    let options = pipelined_options();
+    let options = ComposeOptions::default();
     let composer = Composer::new(options.clone());
     let base = rich("base", "x", 8);
     let prepared_base = Arc::new(composer.prepare(&base));
+    let base_xml = write_sbml(prepared_base.model());
     // A strict subset of the base: absorbed without materialising.
     let dup = composer.prepare(&rich("dup", "x", 5));
     // Overlapping but not contained: materialises when merged.
@@ -334,14 +319,19 @@ fn cow_session_interleaved_entrypoints_under_faults_match_fault_free() {
         session.push_prepared(&dup);
         assert!(session.is_base_shared(), "pass {pass}: duplicates must not materialise");
 
-        // Guarded push faulted on both rungs: rolls back to the shared
-        // base (the only push so far was absorbed, so the at-rest state
-        // is Shared and rollback must restore exactly that).
-        let plan = FailPlan::new().fail_at(Site::Pass(pass)).fail_at(Site::Push(1));
-        with_plan(plan, || {
-            session.push_guarded(&stranger, None).expect_err("both rungs fail");
+        // Guarded push faulted mid-merge: rolls back to the shared base
+        // (the only push so far was absorbed, so the at-rest state is
+        // Shared and rollback must restore exactly that).
+        let log_before = session.log().to_text();
+        let arcs_before = Arc::strong_count(&prepared_base);
+        let err = with_plan(FailPlan::new().fail_at(Site::Pass(pass)), || {
+            session.push_guarded(&stranger, None).expect_err("the faulted push fails")
         });
+        assert_pass_fault(&err, pass, 1);
         assert!(session.is_base_shared(), "pass {pass}: rollback keeps the base shared");
+        assert_eq!(Arc::strong_count(&prepared_base), arcs_before, "pass {pass}: no leaked Arc");
+        assert_eq!(write_sbml(session.model()), base_xml, "pass {pass}");
+        assert_eq!(session.log().to_text(), log_before, "pass {pass}");
 
         // Disarmed: the rest of the interleaving must land bit-identical
         // to the fault-free reference.
@@ -356,6 +346,7 @@ fn cow_session_interleaved_entrypoints_under_faults_match_fault_free() {
 
 #[test]
 fn query_fault_is_contained_per_candidate() {
+    let _exclusive = exclusive();
     use sbmlcompose::matching::MatchIndex;
 
     let options = ComposeOptions::default();

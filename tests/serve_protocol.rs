@@ -271,12 +271,12 @@ fn process_threads(pid: u32) -> usize {
         .expect("Threads: line present")
 }
 
-/// The serving shape the worker pool exists for: one hot snapshot, many
-/// COMPOSE requests. Every answer — sequential or concurrent — must be
-/// bit-identical to a local one-shot session, and the daemon's kernel
-/// thread count must be flat across requests: the pool is spawned once
-/// at bind, so serving must not create (or leak) a single thread per
-/// request the way per-push scoped spawns would.
+/// The hot serving shape: one snapshot, many COMPOSE requests. Every
+/// answer — sequential or concurrent — must be bit-identical to a local
+/// one-shot session, and the daemon's kernel thread count must be flat
+/// across requests: its workers are spawned once at bind and a COMPOSE
+/// runs its serial merge passes on the worker that took the request, so
+/// serving must not create (or leak) a single thread per request.
 #[test]
 #[cfg(target_os = "linux")]
 fn hot_snapshot_compose_is_bit_identical_with_a_flat_thread_count() {
