@@ -815,23 +815,18 @@ mod tests {
     }
 
     #[test]
-    fn conflict_corpus_incremental_rename_equals_full_rekey() {
-        // Prepared pushes carry the cached keys the rename revalidates;
-        // the full re-key ablation must land on the same bytes.
+    fn conflict_corpus_prepared_equals_raw() {
+        // Prepared pushes revalidate their cached keys under the push's
+        // mappings (incremental rename under heavy semantics); raw pushes
+        // compute every key inline. Both must land on the same bytes.
         let models = corpus_conflict(3);
-        let rename_opts = sbml_compose::ComposeOptions::default();
-        let rekey_opts =
-            sbml_compose::ComposeOptions::default().with_incremental_key_rename(false);
-        let run = |options: sbml_compose::ComposeOptions| {
-            let composer = sbml_compose::Composer::new(options);
-            let prepared: Vec<_> = models.iter().map(|m| composer.prepare(m)).collect();
-            sbml_compose::compose_many_prepared(&composer, &prepared)
-        };
-        let rename = run(rename_opts);
-        let rekey = run(rekey_opts);
-        assert_eq!(rename.model, rekey.model);
-        assert_eq!(rename.log.events, rekey.log.events);
-        assert_eq!(rename.mappings, rekey.mappings);
+        let composer = sbml_compose::Composer::default();
+        let prepared: Vec<_> = models.iter().map(|m| composer.prepare(m)).collect();
+        let fast = sbml_compose::compose_many_prepared(&composer, &prepared);
+        let raw = sbml_compose::compose_many(&composer, &models);
+        assert_eq!(fast.model, raw.model);
+        assert_eq!(fast.log.events, raw.log.events);
+        assert_eq!(fast.mappings, raw.mappings);
     }
 
     #[test]

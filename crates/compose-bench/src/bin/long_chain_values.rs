@@ -1,31 +1,37 @@
 //! Long-chain initial-value maintenance: incremental store vs per-push
-//! re-collect.
+//! re-collect, one layer in isolation.
 //!
-//! Before this scenario's tentpole, every [`CompositionSession`] push
-//! re-ran `initial_values::collect` over the *whole accumulator* — the
-//! last O(n) per-push cost, so an n-model chain paid O(n²) evaluation
-//! work on value-heavy corpora. The incremental store
-//! (`IncrementalValues`) seeds once and re-evaluates only each push's
-//! dependency closure, making the same chain O(total assignments).
+//! A [`CompositionSession`] keeps the accumulator's evaluated initial
+//! values (the paper's §3 collection step) in an [`IncrementalValues`]
+//! store: seeded once, then each push re-evaluates only its dependency
+//! closure. The reference is [`collect`] over the whole accumulator before
+//! every push — O(n) per push, so an n-model chain pays O(n²) evaluation
+//! work on value-heavy corpora.
 //!
-//! This binary times both paths — identical options except for
-//! [`ComposeOptions::incremental_initial_values`] — on chains of
-//! value-heavy models (many parameters and chained initial assignments,
-//! the workload the paper's §3 initial-value collection step exists for)
-//! and writes `BENCH_values.json` at the workspace root. `ci.sh` gates
-//! the length-128 speedup at ≥ 2x.
+//! This binary composes chains of value-heavy models (many parameters and
+//! chained initial assignments) once, untimed, recording the accumulator
+//! after every push together with the [`ValueDelta`] that push appended.
+//! It then checks `snapshot() == collect` at every step and times the two
+//! value layers over the recorded accumulators:
+//!
+//! * **re-collect** — one [`collect`] per push;
+//! * **incremental** — [`IncrementalValues::seed`] on the first
+//!   accumulator plus one [`IncrementalValues::absorb`] per later push.
+//!
+//! Writes `BENCH_values.json` at the workspace root; `ci.sh` gates the
+//! length-128 speedup at ≥ 2x.
 //!
 //! Run with: `cargo run --release -p compose-bench --bin long_chain_values`
 //!
 //! [`CompositionSession`]: sbml_compose::session::CompositionSession
-//! [`ComposeOptions::incremental_initial_values`]: sbml_compose::ComposeOptions::incremental_initial_values
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use compose_bench::time_median;
-use sbml_compose::{compose_many, ComposeOptions, Composer};
+use sbml_compose::initial_values::{collect, IncrementalValues, ValueDelta};
+use sbml_compose::{ComposeOptions, CompositionSession};
 use sbml_model::builder::ModelBuilder;
 use sbml_model::Model;
 
@@ -78,12 +84,46 @@ struct Row {
     assignments: usize,
 }
 
-fn main() {
-    let incremental_options = ComposeOptions::default();
-    let recollect_options = ComposeOptions::default().with_incremental_initial_values(false);
-    let incremental = Composer::new(incremental_options);
-    let recollect = Composer::new(recollect_options);
+/// The component-list lengths of `m`: the delta a push appending to `m`
+/// hands the value store.
+fn delta_of(m: &Model) -> ValueDelta {
+    ValueDelta {
+        functions: m.function_definitions.len(),
+        compartments: m.compartments.len(),
+        species: m.species.len(),
+        parameters: m.parameters.len(),
+        initial_assignments: m.initial_assignments.len(),
+    }
+}
 
+/// Compose `chain` through one session, recording the accumulator after
+/// every push and the delta each push after the first appended.
+fn record(chain: &[Model]) -> (Vec<Model>, Vec<ValueDelta>) {
+    let options = ComposeOptions::default();
+    let mut session = CompositionSession::new(&options);
+    let mut accumulators: Vec<Model> = Vec::with_capacity(chain.len());
+    let mut deltas = Vec::with_capacity(chain.len());
+    for m in chain {
+        if let Some(previous) = accumulators.last() {
+            deltas.push(delta_of(previous));
+        }
+        session.push(m);
+        accumulators.push(session.model().clone());
+    }
+    (accumulators, deltas)
+}
+
+/// Seed on the first accumulator, absorb every later push; returns the
+/// final store.
+fn incremental(accumulators: &[Model], deltas: &[ValueDelta]) -> IncrementalValues {
+    let mut store = IncrementalValues::seed(&accumulators[0]);
+    for (acc, delta) in accumulators[1..].iter().zip(deltas) {
+        store.absorb(acc, delta);
+    }
+    store
+}
+
+fn main() {
     println!("long-chain initial values — per-push re-collect vs incremental store");
     println!(
         "{:>7} {:>16} {:>16} {:>9} {:>12}",
@@ -94,28 +134,31 @@ fn main() {
     for length in CHAIN_LENGTHS {
         let chain: Vec<Model> = (0..length).map(value_heavy_model).collect();
         let runs = if length >= 32 { 3 } else { 5 };
+        let (accumulators, deltas) = record(&chain);
 
-        let reference = compose_many(&recollect, &chain);
-        let candidate = compose_many(&incremental, &chain);
-        assert_eq!(
-            candidate.model, reference.model,
-            "incremental and re-collect outputs diverged at length {length}"
-        );
-        assert_eq!(candidate.log.events, reference.log.events);
-        assert_eq!(candidate.mappings, reference.mappings);
+        // The store must equal a fresh collect after every push before
+        // anything is timed.
+        let mut store = IncrementalValues::seed(&accumulators[0]);
+        assert_eq!(store.snapshot(), collect(&accumulators[0]), "seed at length {length}");
+        for (k, (acc, delta)) in accumulators[1..].iter().zip(&deltas).enumerate() {
+            store.absorb(acc, delta);
+            assert_eq!(store.snapshot(), collect(acc), "push {} at length {length}", k + 1);
+        }
 
         let recollect_seconds = time_median(runs, || {
-            std::hint::black_box(compose_many(&recollect, &chain));
+            for acc in &accumulators {
+                std::hint::black_box(collect(acc));
+            }
         });
         let incremental_seconds = time_median(runs, || {
-            std::hint::black_box(compose_many(&incremental, &chain));
+            std::hint::black_box(incremental(&accumulators, &deltas));
         });
 
         let row = Row {
             length,
             recollect_seconds,
             incremental_seconds,
-            assignments: reference.model.initial_assignments.len(),
+            assignments: accumulators.last().map_or(0, |m| m.initial_assignments.len()),
         };
         println!(
             "{:>7} {:>16.6} {:>16.6} {:>8.2}x {:>12}",
@@ -142,8 +185,8 @@ fn main() {
     json.push_str("  \"benchmark\": \"long_chain_values\",\n");
     json.push_str("  \"corpus\": \"deterministic value-heavy chain models (24 chained initial assignments each)\",\n");
     json.push_str("  \"engines\": {\n");
-    json.push_str("    \"recollect\": \"CompositionSession with incremental_initial_values=false: initial_values::collect re-run over the whole accumulator before every push\",\n");
-    json.push_str("    \"incremental\": \"CompositionSession default: IncrementalValues store seeded once, each push re-evaluates only its dependency closure\"\n");
+    json.push_str("    \"recollect\": \"initial_values::collect over each recorded accumulator (one per push)\",\n");
+    json.push_str("    \"incremental\": \"IncrementalValues::seed on the first accumulator, then one absorb per push re-evaluating only its dependency closure\"\n");
     json.push_str("  },\n");
     json.push_str("  \"chains\": [\n");
     for (i, row) in rows.iter().enumerate() {

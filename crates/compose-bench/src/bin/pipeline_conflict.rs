@@ -1,39 +1,43 @@
-//! Conflict-heavy composition: incremental mapped-key renaming vs full
-//! re-keying, both on the serial Fig. 4 merge passes.
+//! Conflict-heavy key revalidation: incremental rename of cached canonical
+//! patterns vs full re-canonicalisation, one layer in isolation.
 //!
 //! The workload is [`biomodels_corpus::corpus_conflict`]: every push
 //! renames every shared parameter (value conflicts) and maps every alias
-//! species by name, so the in-flight mapping table is hot from the
-//! species pass onwards and **every** math-bearing component must
-//! revalidate its cached content key under live mappings. That isolates
-//! the one cost incremental renaming removes:
+//! species by name, so almost every formula of the incoming model
+//! references a mapped id and its cached content key must be revalidated
+//! under the push's mappings. A merge pass does that one of two ways:
 //!
-//! * the **full re-key** engine (`incremental_key_rename=false`) rebuilds
-//!   each dirty key by full re-canonicalisation of the formula;
-//! * the **incremental rename** engine (the default) revalidates dirty
-//!   keys by renaming the cached canonical text (O(touched leaves), dirty
-//!   commutative groups only).
+//! * **full re-key** — [`Pattern::of_mapped`]: re-canonicalise the
+//!   formula from its AST under the mapping table (what light and none
+//!   semantics, and every raw push, still do);
+//! * **incremental rename** — [`Pattern::rename_mapped`] on the cached
+//!   [`Pattern::of`] text: rewrite the touched identifier leaves and
+//!   re-sort only the dirty commutative groups (what a heavy-semantics
+//!   prepared push does).
 //!
-//! The gated metric is the **chain** composition of the whole corpus
-//! (one `compose_many_prepared` session — the shape where per-push merge
-//! cost, not per-pair base adoption, dominates); the all-pairs sweep is
-//! reported alongside. Both engines share one prepared corpus (the
-//! key-rename knob is fingerprint-neutral) and are asserted bit-for-bit
-//! identical before any timing. Writes `BENCH_pipeline.json` at the
-//! workspace root with the `host_parallelism` it ran under (every push is
-//! serial, so it does not enter the ratio); `ci.sh` gates the chain
-//! speedup at ≥ 1.5x.
+//! For every corpus pair `(i, j)` the mapping table is that pair's
+//! `compose_prepared(..).mappings`, and the formulas are every kinetic
+//! law, rule, constraint, event and function body of model `j` that
+//! references a mapped id. The cached patterns are built before timing,
+//! as a preparation builds them once per model. Both paths are asserted
+//! byte-identical on every formula before anything is timed. Writes
+//! `BENCH_pipeline.json` at the workspace root; `ci.sh` gates
+//! `speedup_incremental_rename` at ≥ 1.5x.
 //!
 //! Run with: `cargo run --release -p compose-bench --bin pipeline_conflict`
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use biomodels_corpus::corpus_conflict;
-use compose_bench::{host_parallelism, time_median};
-use sbml_compose::{compose_many_prepared, ComposeOptions, Composer, PreparedModel};
+use compose_bench::{host_parallelism, time_median_interleaved};
+use sbml_compose::{ComposeOptions, Composer};
+use sbml_math::pattern::Pattern;
+use sbml_math::rewrite::collect_identifiers;
+use sbml_math::MathExpr;
+use sbml_model::Model;
 
 /// Models in the conflict corpus.
 const MODELS: usize = 12;
@@ -47,18 +51,46 @@ fn workspace_root() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("."))
 }
 
-fn chain(composer: &Composer, prepared: &[Arc<PreparedModel>]) -> usize {
-    compose_many_prepared(composer, prepared.iter().map(Arc::as_ref)).model.species.len()
+/// Every formula of `m` whose canonical pattern can depend on id mappings.
+fn formulas(m: &Model) -> Vec<MathExpr> {
+    let mut out = Vec::new();
+    out.extend(m.function_definitions.iter().map(|f| f.as_lambda()));
+    out.extend(m.rules.iter().map(|r| r.math().clone()));
+    out.extend(m.constraints.iter().map(|c| c.math.clone()));
+    out.extend(m.reactions.iter().filter_map(|r| r.kinetic_law.as_ref()).map(|kl| kl.math.clone()));
+    for ev in &m.events {
+        out.push(ev.trigger.clone());
+        out.extend(ev.delay.clone());
+        out.extend(ev.assignments.iter().map(|a| a.math.clone()));
+    }
+    out
 }
 
-fn pairs(composer: &Composer, prepared: &[Arc<PreparedModel>]) -> usize {
-    let mut acc = 0usize;
-    for i in 0..prepared.len() {
-        for j in (i + 1)..prepared.len() {
-            acc += composer.compose_prepared(&prepared[i], &prepared[j]).model.species.len();
+/// One corpus pair: the mapping table and the touched formulas with their
+/// cached (unmapped) patterns.
+struct PairWork {
+    mappings: HashMap<String, String>,
+    touched: Vec<(MathExpr, Pattern)>,
+}
+
+fn full_rekey(work: &[PairWork]) -> usize {
+    let mut bytes = 0;
+    for pair in work {
+        for (expr, _) in &pair.touched {
+            bytes += Pattern::of_mapped(expr, &pair.mappings).as_str().len();
         }
     }
-    acc
+    bytes
+}
+
+fn incremental_rename(work: &[PairWork]) -> usize {
+    let mut bytes = 0;
+    for pair in work {
+        for (_, cached) in &pair.touched {
+            bytes += cached.rename_mapped(&pair.mappings).as_str().len();
+        }
+    }
+    bytes
 }
 
 fn main() {
@@ -66,69 +98,54 @@ fn main() {
     let models = corpus_conflict(if quick { 5 } else { MODELS });
     let n = models.len();
 
-    // Shared analysis fingerprint: the two engines differ only in the
-    // key-rename knob, so one prepared corpus serves both.
-    let rekey_options = ComposeOptions::default().with_incremental_key_rename(false);
-    let rename_options = ComposeOptions::default();
-    assert_eq!(rekey_options.fingerprint(), rename_options.fingerprint());
+    let composer = Composer::new(ComposeOptions::default());
+    let prepared: Vec<_> = models.iter().map(|m| composer.prepare(m)).collect();
+    let model_formulas: Vec<Vec<MathExpr>> = models.iter().map(formulas).collect();
 
-    let rekey = Composer::new(rekey_options);
-    let rename = Composer::new(rename_options);
-    let prepared: Vec<Arc<PreparedModel>> =
-        models.iter().map(|m| Arc::new(rename.prepare(m))).collect();
-
-    // Bit-for-bit identity before any timing: the full chain and a few
-    // representative pairs.
-    {
-        let a = compose_many_prepared(&rekey, prepared.iter().map(Arc::as_ref));
-        let b = compose_many_prepared(&rename, prepared.iter().map(Arc::as_ref));
-        assert_eq!(a.model, b.model, "chain model diverged");
-        assert_eq!(a.log.events, b.log.events, "chain log diverged");
-        assert_eq!(a.mappings, b.mappings, "chain mappings diverged");
-        for (i, j) in [(0usize, 1usize), (0, n - 1), (n / 2, n / 2 + 1)] {
-            let a = rekey.compose_prepared(&prepared[i], &prepared[j]);
-            let b = rename.compose_prepared(&prepared[i], &prepared[j]);
-            assert_eq!(a.model, b.model, "pair ({i},{j}) diverged");
-            assert_eq!(a.log.events, b.log.events, "pair ({i},{j}) log diverged");
-            assert_eq!(a.mappings, b.mappings, "pair ({i},{j}) mappings diverged");
+    let mut work = Vec::new();
+    let mut total = 0;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let mappings = composer.compose_prepared(&prepared[i], &prepared[j]).mappings;
+            let touched: Vec<(MathExpr, Pattern)> = model_formulas[j]
+                .iter()
+                .filter(|e| collect_identifiers(e).iter().any(|id| mappings.contains_key(id)))
+                .map(|e| (e.clone(), Pattern::of(e)))
+                .collect();
+            // Byte identity before any timing.
+            for (expr, cached) in &touched {
+                assert_eq!(
+                    *cached.rename_mapped(&mappings),
+                    Pattern::of_mapped(expr, &mappings),
+                    "rename diverged from re-canonicalisation in pair ({i},{j})"
+                );
+            }
+            total += model_formulas[j].len();
+            work.push(PairWork { mappings, touched });
         }
     }
+    let touched: usize = work.iter().map(|p| p.touched.len()).sum();
+    assert_eq!(full_rekey(&work), incremental_rename(&work));
 
     let host_parallelism = host_parallelism();
     println!(
-        "conflict corpus: {n} models, {} keyed components each; host parallelism {host_parallelism}",
-        models[0].species.len()
-            + models[0].reactions.len()
-            + models[0].rules.len()
-            + models[0].constraints.len()
-            + models[0].events.len()
-            + models[0].function_definitions.len()
-            + models[0].compartments.len(),
+        "conflict corpus: {n} models, {} pairs, {touched} touched formulas of {total}; host parallelism {host_parallelism}",
+        work.len()
     );
 
-    let runs = if quick { 3 } else { 5 };
-    let chain_rekey = time_median(runs, || {
-        std::hint::black_box(chain(&rekey, &prepared));
-    });
-    let chain_rename = time_median(runs, || {
-        std::hint::black_box(chain(&rename, &prepared));
-    });
-    let chain_speedup = chain_rekey / chain_rename.max(1e-12);
-    println!(
-        "chain ({n} pushes):   full re-key {chain_rekey:.4}s  incremental rename {chain_rename:.4}s  speedup {chain_speedup:.2}x"
+    let runs = if quick { 3 } else { 9 };
+    let (rekey_seconds, rename_seconds) = time_median_interleaved(
+        runs,
+        || {
+            std::hint::black_box(full_rekey(&work));
+        },
+        || {
+            std::hint::black_box(incremental_rename(&work));
+        },
     );
-
-    let pair_runs = if quick { 1 } else { 3 };
-    let pairs_rekey = time_median(pair_runs, || {
-        std::hint::black_box(pairs(&rekey, &prepared));
-    });
-    let pairs_rename = time_median(pair_runs, || {
-        std::hint::black_box(pairs(&rename, &prepared));
-    });
-    let pairs_speedup = pairs_rekey / pairs_rename.max(1e-12);
+    let speedup = rekey_seconds / rename_seconds.max(1e-12);
     println!(
-        "all-pairs ({} pairs): full re-key {pairs_rekey:.4}s  incremental rename {pairs_rename:.4}s  speedup {pairs_speedup:.2}x",
-        n * (n - 1) / 2
+        "full re-key {rekey_seconds:.4}s  incremental rename {rename_seconds:.4}s  speedup {speedup:.2}x"
     );
 
     if quick {
@@ -143,21 +160,21 @@ fn main() {
         "  \"corpus\": \"biomodels_corpus::corpus_conflict (deterministic; every push renames every shared parameter and maps every alias species by name)\",\n",
     );
     json.push_str(&format!("  \"models\": {n},\n"));
+    json.push_str(&format!("  \"pairs\": {},\n", work.len()));
+    json.push_str(&format!("  \"touched_formulas\": {touched},\n"));
     json.push_str("  \"engines\": {\n");
     json.push_str(
-        "    \"full_rekey\": \"incremental_key_rename=false: serial Fig. 4 passes, dirty cached keys rebuilt by full re-canonicalisation\",\n",
+        "    \"full_rekey\": \"Pattern::of_mapped: every touched formula re-canonicalised from its AST under the pair's mappings\",\n",
     );
     json.push_str(
-        "    \"incremental_rename\": \"default options: serial Fig. 4 passes, dirty cached keys revalidated by incremental rename of canonical text (dirty commutative groups only)\"\n",
+        "    \"incremental_rename\": \"Pattern::rename_mapped on the cached Pattern::of text: touched leaves rewritten, dirty commutative groups re-sorted\"\n",
     );
     json.push_str("  },\n");
     json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    json.push_str(&format!("  \"chain_full_rekey_seconds\": {chain_rekey:.6},\n"));
-    json.push_str(&format!("  \"chain_incremental_rename_seconds\": {chain_rename:.6},\n"));
-    json.push_str(&format!("  \"pairs_full_rekey_seconds\": {pairs_rekey:.6},\n"));
-    json.push_str(&format!("  \"pairs_incremental_rename_seconds\": {pairs_rename:.6},\n"));
-    json.push_str(&format!("  \"speedup_pairs\": {pairs_speedup:.2},\n"));
-    json.push_str(&format!("  \"speedup_incremental_rename\": {chain_speedup:.2}\n"));
+    json.push_str("  \"threads\": 1,\n");
+    json.push_str(&format!("  \"full_rekey_seconds\": {rekey_seconds:.6},\n"));
+    json.push_str(&format!("  \"incremental_rename_seconds\": {rename_seconds:.6},\n"));
+    json.push_str(&format!("  \"speedup_incremental_rename\": {speedup:.2}\n"));
     json.push_str("}\n");
 
     let path = workspace_root().join("BENCH_pipeline.json");

@@ -1,33 +1,32 @@
 //! Differential oracle for the zero-copy session paths.
 //!
-//! The copy-on-write base adoption
+//! Copy-on-write base adoption
 //! ([`CompositionSession::with_shared_base`], [`Composer::compose_shared`])
-//! is an *execution detail*: for
-//! every input and every knob setting it must produce output
-//! bit-identical to the eager clone-on-adopt path. This module is the
+//! must produce output bit-identical to adopting an eager clone of the
+//! base, for every input and every option setting. This module is the
 //! shared engine behind that claim — `tests/cow_differential.rs` drives it
-//! across the full knob matrix, and the `all_pairs` bench binary reuses
-//! its corpus generators so the measured workload is the proven one.
+//! across the semantics levels and paper ablations, and the `all_pairs`
+//! bench binary reuses its corpus generators so the measured workload is
+//! the proven one.
 //!
 //! The oracle composes the same `(base, pushes)` scenario twice:
 //!
-//! * **reference** — [`ComposeOptions::adopt_base`] off: adopting the
-//!   shared base falls back to the eager path (clone the model, clone the
-//!   indexes), the behaviour of every release before the COW refactor;
-//! * **candidate** — `adopt_base` on, with a caller-chosen
-//!   [`ComposeOptions::pool_threads`] (which must stay output-neutral):
-//!   the copy-on-write path.
+//! * **reference** — [`CompositionSession::with_prepared_base`]: the base
+//!   is cloned up front (model, indexes, key cache), the behaviour of
+//!   every release before the COW refactor;
+//! * **candidate** — [`CompositionSession::with_shared_base`]: the
+//!   copy-on-write path production runs.
 //!
 //! and asserts the composed model, the decision log, the ID mappings and
 //! the collected initial values are equal. Both runs share one
-//! [`PreparedModel`] (the knobs are fingerprint-neutral), so any
-//! divergence is attributable to the COW machinery alone.
+//! [`PreparedModel`], so any divergence is attributable to the COW
+//! machinery alone.
 
 use std::sync::Arc;
 
 use sbml_compose::{
-    Budget, ComposeOptions, ComposeResult, Composer, CompositionSession, InitialValues,
-    PreparedModel, SharedModel,
+    Budget, ComposeOptions, ComposeResult, Composer, CompositionSession, PreparedModel,
+    SharedModel,
 };
 use sbml_model::builder::ModelBuilder;
 use sbml_model::Model;
@@ -159,47 +158,31 @@ fn run_pushes(
 /// Run one scenario through the clone oracle and the COW candidate and
 /// assert bit-identity of model, log, mappings and initial values.
 ///
-/// `options` supplies the knob ablation under test (`adopt_base` and
-/// `pool_threads` are overridden per side); `pool_threads` is set on the
-/// candidate only. Panics with a labelled message on any divergence.
+/// `options` is the semantics level or ablation under test; both sides
+/// compose under it. Panics with a labelled message on any divergence.
 pub fn assert_cow_matches_clone(
     options: &ComposeOptions,
     base: &Model,
     pushes: &[Model],
     mode: PushMode,
-    pool_threads: usize,
 ) -> DifferentialOutcome {
-    let label = format!(
-        "mode={mode:?} pool_threads={pool_threads} semantics={:?} pushes={}",
-        options.semantics,
-        pushes.len()
-    );
+    let label =
+        format!("mode={mode:?} semantics={:?} pushes={}", options.semantics, pushes.len());
 
-    let reference_options = options.clone().with_adopt_base(false);
-    let candidate_options =
-        options.clone().with_adopt_base(true).with_pool_threads(pool_threads);
-
-    // One preparation serves both sides: the knobs that differ are
-    // fingerprint-neutral by contract.
     let composer = Composer::new(options.clone());
     let shared_base = Arc::new(composer.prepare(base));
     let prepared_pushes: Vec<Arc<PreparedModel>> =
         pushes.iter().map(|m| Arc::new(composer.prepare(m))).collect();
 
     let (reference, reference_values) = {
-        let mut session =
-            CompositionSession::with_shared_base(&reference_options, Arc::clone(&shared_base));
-        assert!(
-            !session.is_base_shared(),
-            "adopt_base=false must take the eager clone path ({label})"
-        );
+        let mut session = CompositionSession::with_prepared_base(options, &shared_base);
+        assert!(!session.is_base_shared(), "the reference must own a clone ({label})");
         run_pushes(&mut session, &prepared_pushes, mode);
         let values = session.current_initial_values();
         (session.finish(), values)
     };
 
-    let mut session =
-        CompositionSession::with_shared_base(&candidate_options, Arc::clone(&shared_base));
+    let mut session = CompositionSession::with_shared_base(options, Arc::clone(&shared_base));
     run_pushes(&mut session, &prepared_pushes, mode);
     let candidate_values = session.current_initial_values();
     let base_stayed_shared = session.is_base_shared();
@@ -228,15 +211,9 @@ pub fn assert_cow_matches_clone(
     DifferentialOutcome { base_stayed_shared }
 }
 
-/// The clone-path reference composition of a pair, for callers that need
-/// the oracle result itself (e.g. comparing a daemon response).
+/// The reference composition of a raw pair — the session starts from an
+/// owned copy of `a`, nothing shared — for callers that need the oracle
+/// result itself (e.g. comparing a daemon response).
 pub fn reference_compose(options: &ComposeOptions, a: &Model, b: &Model) -> ComposeResult {
-    Composer::new(options.clone().with_adopt_base(false)).compose(a, b)
-}
-
-/// The reference's collected initial values for a finished model.
-pub fn reference_values(options: &ComposeOptions, model: &Model) -> InitialValues {
-    let composer = Composer::new(options.clone());
-    let prepared = composer.prepare(model);
-    prepared.initial_values().clone()
+    Composer::new(options.clone()).compose(a, b)
 }

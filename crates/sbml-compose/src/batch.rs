@@ -104,11 +104,13 @@ impl BatchComposer {
         BatchComposer { composer, threads: 0, pool: OnceLock::new() }
     }
 
-    /// Fix the worker-thread count (`0` = automatic). Thread count never
-    /// affects output, only wall time.
+    /// Fix the worker-thread count (`0` = one per available core). It
+    /// sizes both the stripes of every fan-out and the batch's
+    /// [`WorkerPool`]. Thread count never affects output, only wall time.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> BatchComposer {
         self.threads = threads;
+        self.pool = OnceLock::new();
         self
     }
 
@@ -118,29 +120,29 @@ impl BatchComposer {
     }
 
     /// The batch-lifetime worker pool, spawned on first use and sized by
-    /// the composer's [`pool_threads`](crate::ComposeOptions::pool_threads)
-    /// knob (`0` = host parallelism). Every fan-out on this composer —
-    /// pair grids and corpus sweeps — runs on this one pool, and callers
-    /// layering their own fan-out on
-    /// top (e.g. `sbml-match`'s shard scatter) should reuse it via
+    /// [`BatchComposer::with_threads`] (`0` = host parallelism). The
+    /// corpus sweeps ([`BatchComposer::prepare_corpus`],
+    /// [`BatchComposer::map_corpus`]) run on this one pool; the pair grids
+    /// spawn scoped threads per call. Callers layering their own fan-out
+    /// on top (e.g. `sbml-match`'s shard scatter) should reuse it via
     /// [`WorkerPool::run_scoped`] rather than spawning threads: nested
     /// `run_scoped` calls on the same pool are deadlock-free by
     /// construction.
     pub fn shared_pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(self.pool.get_or_init(|| {
-            Arc::new(match self.composer.options().pool_threads {
-                0 => WorkerPool::for_host(),
-                n => WorkerPool::new(n),
-            })
-        }))
+        Arc::clone(self.pool.get_or_init(|| Arc::new(WorkerPool::new(self.lanes()))))
+    }
+
+    /// The configured thread count, `0` resolved to the host's available
+    /// parallelism.
+    fn lanes(&self) -> usize {
+        match self.threads {
+            0 => std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
+            n => n,
+        }
     }
 
     fn worker_count(&self, jobs: usize) -> usize {
-        let auto = || {
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-        };
-        let n = if self.threads == 0 { auto() } else { self.threads };
-        n.clamp(1, jobs.max(1))
+        self.lanes().clamp(1, jobs.max(1))
     }
 
     /// Prepare every corpus model exactly once, sharding the independent
@@ -545,5 +547,20 @@ mod tests {
         assert!(batch.all_pairs(&one).is_empty());
         let two = batch.prepare_corpus(&corpus(2));
         assert_eq!(batch.all_pairs(&two).len(), 1);
+    }
+
+    #[test]
+    fn with_threads_sizes_the_shared_pool() {
+        for n in 1..=4 {
+            let batch = BatchComposer::new(Composer::default()).with_threads(n);
+            assert_eq!(batch.shared_pool().threads(), n, "with_threads({n})");
+        }
+        let host =
+            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+        let auto = BatchComposer::new(Composer::default()).with_threads(0);
+        assert_eq!(auto.shared_pool().threads(), host);
+        // Re-sizing a composer whose pool already exists takes effect.
+        let resized = auto.with_threads(2);
+        assert_eq!(resized.shared_pool().threads(), 2);
     }
 }

@@ -127,48 +127,49 @@
 //! # Incremental initial values & incremental key renaming
 //!
 //! Every push runs the twelve Fig. 4 passes strictly in order on the
-//! calling thread. Two knobs keep it sub-linear in the accumulator and
-//! cheap under ID mappings (see the [`session`] module docs for the full
-//! per-push cost table):
+//! calling thread. Two mechanisms keep it sub-linear in the accumulator
+//! and cheap under ID mappings (see the [`session`] module docs for the
+//! full per-push cost table). Each is the only production path for its
+//! stage; the slower reference survives as a test and bench oracle.
 //!
-//! * [`ComposeOptions::incremental_initial_values`] (default on): the
-//!   paper's initial-value collection step is maintained incrementally —
-//!   an [`initial_values::IncrementalValues`] store is seeded once (or
+//! * **Incremental initial values.** The paper's initial-value
+//!   collection step is maintained incrementally — an
+//!   [`initial_values::IncrementalValues`] store is seeded once (or
 //!   adopted from a [`PreparedModel`] base) and each push re-evaluates
-//!   only the dependency closure of its own additions, instead of
-//!   re-running [`initial_values::collect`] over the whole accumulator.
-//!   On value-heavy 128-model chains this is ≳2× (measured ≳6×) faster
-//!   end to end (see `BENCH_values.json`, regenerated by the
+//!   only the dependency closure of its own additions. The reference is
+//!   [`initial_values::collect`] over the whole accumulator: on
+//!   value-heavy 128-model chains the store is ≳2× faster than one
+//!   `collect` per push (see `BENCH_values.json`, regenerated by the
 //!   `long_chain_values` binary in `compose-bench` and gated by `ci.sh`).
 //!   [`CompositionSession::current_initial_values`] exposes the store's
 //!   view; property tests hold it bit-for-bit equal to a fresh `collect`
 //!   after every push, including prepared/raw interleavings with
 //!   initial-assignment collisions.
-//! * [`ComposeOptions::incremental_key_rename`] (default on, heavy
-//!   semantics): when a prepared push's ID mappings touch a component's
-//!   references, its cached canonical key is revalidated by
-//!   **incremental rename** ([`sbml_math::pattern::Pattern::rename_mapped`])
-//!   — identifier leaves rewritten in the cached canonical text, only
-//!   the commutative operand groups whose members changed re-sorted —
-//!   instead of re-canonicalising the whole formula, O(touched leaves)
-//!   instead of O(formula). Output is bit-for-bit identical with it off,
-//!   so it is excluded from [`ComposeOptions::fingerprint`].
-//!
-//! On the conflict-heavy corpus (`biomodels_corpus::corpus_conflict`,
-//! where every push renames parameters and maps species so every cached
-//! key goes stale) incremental renaming is ≳1.5x the full re-key path
-//! (see `BENCH_pipeline.json`, regenerated by the `pipeline_conflict`
-//! binary and gated by `ci.sh`).
+//! * **Incremental key renaming** (heavy semantics): when a prepared
+//!   push's ID mappings touch a component's references, its cached
+//!   canonical key is revalidated by
+//!   [`sbml_math::pattern::Pattern::rename_mapped`] — identifier leaves
+//!   rewritten in the cached canonical text, only the commutative operand
+//!   groups whose members changed re-sorted — instead of
+//!   re-canonicalising the whole formula, O(touched leaves) instead of
+//!   O(formula). Light and none semantics recompute the key. The raw
+//!   push, which computes every key inline, is the reference; property
+//!   tests hold prepared and raw pushes bit-for-bit equal. On the
+//!   conflict-heavy corpus (`biomodels_corpus::corpus_conflict`, where
+//!   every push renames parameters and maps species so almost every
+//!   cached key goes stale) renaming is ≳1.5x re-canonicalisation (see
+//!   `BENCH_pipeline.json`, regenerated by the `pipeline_conflict` binary
+//!   and gated by `ci.sh`).
 //!
 //! # Zero-copy sessions: COW base adoption & the worker pool
 //!
 //! The serving workload — one hot base composed against a stream of
 //! small incoming models — is dominated by per-session *fixed* cost,
-//! not merge cost. Two further fingerprint-neutral knobs address it:
+//! not merge cost. Two mechanisms address it:
 //!
-//! * [`ComposeOptions::adopt_base`] (default on): a session created by
+//! * **Copy-on-write base adoption.** A session created by
 //!   [`CompositionSession::with_shared_base`] adopts an
-//!   `Arc<`[`PreparedModel`]`>` **copy-on-write** — component lists,
+//!   `Arc<`[`PreparedModel`]`>` copy-on-write — component lists,
 //!   per-kind indexes, the interned content-key cache and the
 //!   incremental initial-value store all start as shared references
 //!   into the base, and are cloned lazily only when a push actually
@@ -178,21 +179,20 @@
 //!   and [`BatchComposer::all_pairs`] rides the same path across the
 //!   Fig. 8 grid. A failed guarded push on a still-shared session rolls
 //!   back by re-adopting the untouched base.
-//! * [`ComposeOptions::pool_threads`] (default `0` = host parallelism):
-//!   a [`BatchComposer`] runs its corpus fan-outs on one persistent
-//!   [`WorkerPool`] of parked threads instead of spawning fresh scoped
-//!   threads per call.
+//! * **One worker pool per batch.** A [`BatchComposer`] runs its corpus
+//!   fan-outs on one persistent [`WorkerPool`] of parked threads, sized
+//!   by [`BatchComposer::with_threads`] (`0` = host parallelism), instead
+//!   of spawning fresh scoped threads per call.
 //!
-//! Both are execution details excluded from
-//! [`ComposeOptions::fingerprint`]: one [`PreparedModel`] serves eager
-//! and COW sessions alike, and the differential harness
-//! (`tests/cow_differential.rs` at the workspace root, driving the
-//! `compose_bench::oracle` module) holds COW-vs-clone sessions
-//! bit-identical — model, log, mappings, initial values — across
-//! semantics levels, knob ablations, pool sizes 1..8 and every push
-//! entry point. `BENCH_fig8.json` records the per-pair fixed cost:
-//! clone-on-adopt grows linearly with base size, COW adoption stays
-//! flat (gated ≥ 1.5x by `ci.sh`).
+//! The eager reference for COW adoption is
+//! [`CompositionSession::with_prepared_base`], which clones the base up
+//! front. The differential harness (`tests/cow_differential.rs` at the
+//! workspace root, driving the `compose_bench::oracle` module) holds
+//! COW-vs-clone sessions bit-identical — model, log, mappings, initial
+//! values — across semantics levels, the initial-value and pattern-cache
+//! ablations and every push entry point. `BENCH_fig8.json` records the
+//! per-pair fixed cost: clone-on-adopt grows linearly with base size,
+//! COW adoption stays flat (gated ≥ 1.5x by `ci.sh`).
 //!
 //! # Command-line interface
 //!
@@ -241,8 +241,8 @@
 //!   [`BatchReport`] while every surviving item completes bit-identical
 //!   to a fault-free run.
 //!
-//! Like the other execution knobs, budgets are fingerprint-neutral
-//! execution details. The crate's `fault-injection` cargo feature (test-only)
+//! Budgets are not part of [`ComposeOptions`] and never change output,
+//! so a preparation is valid under any budget. The crate's `fault-injection` cargo feature (test-only)
 //! compiles [`guard::fail_point`] hooks into the pass/shard/query sites
 //! so the property suite can inject deterministic panics via
 //! `guard::injection::FailPlan`; without the feature the hooks are

@@ -1,4 +1,14 @@
-//! Composition options: semantics level, index structure, synonym table.
+//! Composition options: semantics level, index structure, synonym table,
+//! pattern caching and initial-value collection.
+//!
+//! Every field either changes the composed output or reproduces one of the
+//! paper's experiments (the semantics ladder, index and pattern-cache
+//! ablations). How a session computes that output — copy-on-write base
+//! adoption, the incremental initial-value store, the content-key cache,
+//! incremental key renaming — is not an option: each stage has one
+//! production path, and the slower reference paths live on as test and
+//! bench oracles ([`crate::initial_values::collect`],
+//! [`crate::CompositionSession::with_prepared_base`], the raw push).
 
 use bio_synonyms::SynonymTable;
 
@@ -34,59 +44,9 @@ pub struct ComposeOptions {
     /// are stored to reduce comparison time"). The `ablation_cache` bench
     /// switches this off.
     pub cache_patterns: bool,
-    /// Keep the canonical content key of every merged component alive
-    /// across [`crate::session::CompositionSession`] pushes instead of
-    /// recomputing it per comparison (default: true). Turning this off
-    /// ablates the session's content-key cache while leaving its
-    /// persistent indexes in place; output is identical either way.
-    pub cache_content_keys: bool,
     /// Evaluate initial assignments before merging and use the values in
     /// conflict checks (default: true).
     pub collect_initial_values: bool,
-    /// Maintain the accumulator's initial values *incrementally* across
-    /// [`crate::session::CompositionSession`] pushes (default: true). The
-    /// session then seeds an [`crate::initial_values::IncrementalValues`]
-    /// store once and updates it with each push's additions through a
-    /// dependency graph of initial assignments — O(k) for a push touching
-    /// k components — instead of re-running
-    /// [`crate::initial_values::collect`] over the whole accumulator
-    /// (O(n)) at every push. Values (and hence output) are identical
-    /// either way; turning this off ablates the store for benchmarking.
-    pub incremental_initial_values: bool,
-    /// Revalidate cached content keys by **incremental renaming** when a
-    /// push's ID mappings touch a component's references (default: true,
-    /// heavy semantics only). Instead of re-canonicalising the whole
-    /// formula from its AST, the cached canonical key's identifier leaves
-    /// are rewritten in place and only the commutative operand groups
-    /// whose members changed are re-sorted
-    /// ([`sbml_math::pattern::Pattern::rename_mapped`]) — O(touched
-    /// leaves), not O(formula). Keys are byte-identical either way
-    /// (property-tested), so this is an execution detail excluded from
-    /// [`ComposeOptions::fingerprint`]; turning it off is the
-    /// full-recompute ablation the `pipeline_conflict` bench measures
-    /// against.
-    pub incremental_key_rename: bool,
-    /// Adopt an `Arc`-shared prepared base **copy-on-write** (default:
-    /// true): [`crate::session::CompositionSession::with_shared_base`]
-    /// and [`crate::Composer::compose_shared`] then start with no owned
-    /// copy of the base — component lists, per-kind indexes, the interned
-    /// key cache and the initial-value store stay shared with the
-    /// [`crate::PreparedModel`] until a push actually appends something,
-    /// so a Duplicate-only composition never clones the base at all.
-    /// Turning this off makes the shared entry points fall back to the
-    /// eager clone-on-adopt path (the differential harness's oracle
-    /// engine). Output is bit-for-bit identical either way
-    /// (property-tested), so this knob — like
-    /// [`ComposeOptions::incremental_key_rename`] — is an execution detail
-    /// excluded from [`ComposeOptions::fingerprint`].
-    pub adopt_base: bool,
-    /// Size of the batch-lifetime [`crate::WorkerPool`] a
-    /// [`crate::BatchComposer`] fans its corpus and pair grids out on;
-    /// `0` (the default) sizes it to the host's available parallelism,
-    /// `1` means no background workers (all lanes run on the calling
-    /// thread). A session push is always serial, so this knob never
-    /// affects output, hence fingerprint-neutral.
-    pub pool_threads: usize,
 }
 
 impl Default for ComposeOptions {
@@ -96,12 +56,7 @@ impl Default for ComposeOptions {
             index: IndexKind::HashMap,
             synonyms: SynonymTable::with_builtins(),
             cache_patterns: true,
-            cache_content_keys: true,
             collect_initial_values: true,
-            incremental_initial_values: true,
-            incremental_key_rename: true,
-            adopt_base: true,
-            pool_threads: 0,
         }
     }
 }
@@ -156,49 +111,10 @@ impl ComposeOptions {
         self
     }
 
-    /// Builder: toggle the session-level content-key cache.
-    #[must_use]
-    pub fn with_content_key_cache(mut self, on: bool) -> ComposeOptions {
-        self.cache_content_keys = on;
-        self
-    }
-
     /// Builder: toggle initial-value collection and evaluation.
     #[must_use]
     pub fn with_initial_values(mut self, on: bool) -> ComposeOptions {
         self.collect_initial_values = on;
-        self
-    }
-
-    /// Builder: toggle incremental initial-value maintenance across
-    /// session pushes (the re-collect ablation when off).
-    #[must_use]
-    pub fn with_incremental_initial_values(mut self, on: bool) -> ComposeOptions {
-        self.incremental_initial_values = on;
-        self
-    }
-
-    /// Builder: toggle incremental cached-key renaming (the
-    /// full-recompute ablation when off).
-    #[must_use]
-    pub fn with_incremental_key_rename(mut self, on: bool) -> ComposeOptions {
-        self.incremental_key_rename = on;
-        self
-    }
-
-    /// Builder: toggle copy-on-write base adoption (eager clone-on-adopt
-    /// when off — the differential harness's oracle engine).
-    #[must_use]
-    pub fn with_adopt_base(mut self, on: bool) -> ComposeOptions {
-        self.adopt_base = on;
-        self
-    }
-
-    /// Builder: set the batch worker-pool size (`0` = host parallelism,
-    /// `1` = no background workers).
-    #[must_use]
-    pub fn with_pool_threads(mut self, threads: usize) -> ComposeOptions {
-        self.pool_threads = threads;
         self
     }
 
@@ -207,20 +123,12 @@ impl ComposeOptions {
     /// fingerprint it was prepared under; composing it under options with a
     /// different fingerprint is rejected, since the cached analysis would
     /// silently diverge from what the raw path computes.
-    ///
-    /// [`ComposeOptions::incremental_key_rename`],
-    /// [`ComposeOptions::adopt_base`] and [`ComposeOptions::pool_threads`]
-    /// are deliberately **not** part of the fingerprint: they are execution
-    /// details with property-tested bit-for-bit identical output, so a
-    /// preparation built under one setting stays valid under any other.
     pub fn fingerprint(&self) -> OptionsFingerprint {
         OptionsFingerprint {
             semantics: self.semantics,
             index: self.index,
             cache_patterns: self.cache_patterns,
-            cache_content_keys: self.cache_content_keys,
             collect_initial_values: self.collect_initial_values,
-            incremental_initial_values: self.incremental_initial_values,
             synonym_hash: self.synonyms.content_hash(),
         }
     }
@@ -233,9 +141,7 @@ pub struct OptionsFingerprint {
     semantics: SemanticsLevel,
     index: IndexKind,
     cache_patterns: bool,
-    cache_content_keys: bool,
     collect_initial_values: bool,
-    incremental_initial_values: bool,
     /// [`bio_synonyms::SynonymTable::content_hash`] of the synonym table
     /// — two tables with the same group count but different contents must
     /// not fingerprint equal.
@@ -271,9 +177,7 @@ impl OptionsFingerprint {
             IndexKind::LinearScan => 2,
         });
         eat(u8::from(self.cache_patterns));
-        eat(u8::from(self.cache_content_keys));
         eat(u8::from(self.collect_initial_values));
-        eat(u8::from(self.incremental_initial_values));
         for byte in self.synonym_hash.to_le_bytes() {
             eat(byte);
         }
@@ -299,12 +203,10 @@ mod tests {
         let o = ComposeOptions::default()
             .with_index(IndexKind::LinearScan)
             .with_pattern_cache(false)
-            .with_content_key_cache(false)
             .with_semantics(SemanticsLevel::Light)
             .with_initial_values(false);
         assert_eq!(o.index, IndexKind::LinearScan);
         assert!(!o.cache_patterns);
-        assert!(!o.cache_content_keys);
         assert_eq!(o.semantics, SemanticsLevel::Light);
         assert!(!o.collect_initial_values);
         // with_semantics keeps the synonym table, unlike the none() preset.
@@ -328,22 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_track_the_incremental_values_knob() {
-        // Regression: a PreparedModel built with the incremental value
-        // store on must be rejected under options with it off, like every
-        // other knob that shapes the cached analysis.
-        let base = ComposeOptions::default();
-        assert_ne!(
-            base.fingerprint(),
-            ComposeOptions::default().with_incremental_initial_values(false).fingerprint()
-        );
-        assert_eq!(
-            ComposeOptions::default().with_incremental_initial_values(false).fingerprint(),
-            ComposeOptions::default().with_incremental_initial_values(false).fingerprint()
-        );
-    }
-
-    #[test]
     fn stable_hash_tracks_fingerprint_equality() {
         let heavy = ComposeOptions::heavy().fingerprint();
         assert_eq!(heavy.stable_hash(), ComposeOptions::heavy().fingerprint().stable_hash());
@@ -353,42 +239,6 @@ mod tests {
         assert_ne!(
             heavy.stable_hash(),
             ComposeOptions::default().with_pattern_cache(false).fingerprint().stable_hash()
-        );
-        // Execution knobs are fingerprint-neutral, hence digest-neutral.
-        assert_eq!(
-            heavy.stable_hash(),
-            ComposeOptions::default()
-                .with_incremental_key_rename(false)
-                .fingerprint()
-                .stable_hash()
-        );
-    }
-
-    #[test]
-    fn execution_knobs_do_not_change_the_fingerprint() {
-        // Regression: key renaming, COW adoption and the batch pool size
-        // are execution details — a PreparedModel built under one setting
-        // must be accepted (and digest-equal) under any other.
-        let base = ComposeOptions::default();
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_incremental_key_rename(false).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_adopt_base(false).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_pool_threads(3).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint().stable_hash(),
-            ComposeOptions::default()
-                .with_adopt_base(false)
-                .with_pool_threads(1)
-                .fingerprint()
-                .stable_hash()
         );
     }
 }

@@ -498,13 +498,15 @@ impl PassEnv<'_> {
         self.iv_a.get(id)
     }
 
-    /// Is the cached-key incremental-rename fast path available? Heavy
-    /// semantics only: light/none math key sections are infix text, not
-    /// canonical pattern text, so only the heavy form can be renamed in
-    /// place. Keys produced through the fast path are byte-identical to a
-    /// full recompute (property-tested at the `sbml-math` and key layers).
+    /// Can a stale cached key be revalidated by incremental renaming?
+    /// Heavy semantics only: light/none math key sections are infix text,
+    /// not canonical pattern text, so only the heavy form can be renamed
+    /// in place; light and none recompute the key from the AST. Keys
+    /// produced by renaming are byte-identical to a full recompute
+    /// (property-tested at the `sbml-math` and key layers; the raw push,
+    /// which computes every key inline, is the end-to-end oracle).
     fn key_rename_on(&self) -> bool {
-        self.options.incremental_key_rename && self.options.semantics == SemanticsLevel::Heavy
+        self.options.semantics == SemanticsLevel::Heavy
     }
 
     fn values_agree(&self, a: Option<f64>, b: Option<f64>) -> bool {
@@ -629,6 +631,11 @@ pub(crate) fn key_math_section(key: &str) -> Option<&str> {
 // Fig. 4 line 1: function definitions
 // ---------------------------------------------------------------------
 
+/// Does the merged function at `pos` carry content key `key`? Every
+/// function merged before this push has its key cached; one added earlier
+/// in this same push (an incoming id that collides with another incoming
+/// function's renamed id) gets its key only in `finish_push`, so it is
+/// computed here.
 fn function_key_matches(env: &PassEnv<'_>, st: &FunctionsMut<'_>, pos: usize, key: &str) -> bool {
     if let Some(cached) = st.keys.get(pos) {
         cached.as_ref() == key
@@ -704,14 +711,6 @@ pub(crate) fn functions(env: &mut PassEnv<'_>, st: &mut FunctionsMut<'_>, inc: &
 // Fig. 4 line 2: unit definitions
 // ---------------------------------------------------------------------
 
-fn unit_key_matches(env: &PassEnv<'_>, st: &UnitsMut<'_>, pos: usize, key: &str) -> bool {
-    if let Some(cached) = st.keys.get(pos) {
-        cached.as_ref() == key
-    } else {
-        env.unit_key(&st.list[pos]) == key
-    }
-}
-
 pub(crate) fn units(env: &mut PassEnv<'_>, st: &mut UnitsMut<'_>, inc: &Incoming<'_>) {
     for (i, u) in inc.model.unit_definitions.iter().enumerate() {
         // Unit keys never depend on ID mappings — always reusable.
@@ -721,7 +720,9 @@ pub(crate) fn units(env: &mut PassEnv<'_>, st: &mut UnitsMut<'_>, inc: &Incoming
         };
         let content_key_str = content_key.as_str();
         if let Some(pos) = st.by_id.get(&u.id) {
-            if unit_key_matches(env, st, pos, content_key_str) {
+            // Unit keys enter the cache as the unit is inserted, so every
+            // merged unit has one.
+            if st.keys[pos].as_ref() == content_key_str {
                 env.log.push(EventKind::Duplicate, "unitDefinition", &u.id, &u.id, "same units");
             } else {
                 let ours = &st.list[pos];
@@ -760,9 +761,7 @@ pub(crate) fn units(env: &mut PassEnv<'_>, st: &mut UnitsMut<'_>, inc: &Incoming
         // mappings, so it can enter the persistent index immediately.
         let key = content_key.to_arc();
         st.by_content.insert_shared(&key, pos);
-        if env.options.cache_content_keys {
-            st.keys.push(key);
-        }
+        st.keys.push(key);
         st.list.push(nu);
         env.log.push(EventKind::Added, "unitDefinition", &u.id, final_id, "new");
     }
@@ -1562,6 +1561,9 @@ pub(crate) fn reactions(
 // Fig. 4 line 11: events
 // ---------------------------------------------------------------------
 
+/// Does the merged event at `pos` carry content key `key`? As for
+/// functions, only an event added earlier in this same push has no cached
+/// key yet.
 fn event_key_matches(env: &PassEnv<'_>, st: &EventsMut<'_>, pos: usize, key: &str) -> bool {
     if let Some(cached) = st.keys.get(pos) {
         cached.as_ref() == key

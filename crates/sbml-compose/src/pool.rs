@@ -106,13 +106,6 @@ impl WorkerPool {
         WorkerPool { shared, workers, threads }
     }
 
-    /// A pool sized to the host's available parallelism.
-    pub fn for_host() -> WorkerPool {
-        let host =
-            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        WorkerPool::new(host)
-    }
-
     /// Total parallelism lanes (background workers + the caller).
     pub fn threads(&self) -> usize {
         self.threads

@@ -109,8 +109,8 @@ impl Indexes {
 
 /// Canonical merged-side content keys per component position, interned as
 /// `Arc<str>` shared with the content indexes. Only the kinds whose merge
-/// pass compares keys on an id hit are cached; empty (and ignored) when
-/// [`ComposeOptions::cache_content_keys`] is off.
+/// pass compares keys on an id hit are cached; reaction keys are left out
+/// when [`ComposeOptions::cache_patterns`] is off.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KeyCache {
     pub(crate) functions: Vec<Arc<str>>,
@@ -129,7 +129,7 @@ pub(crate) struct ModelAnalysis {
     pub(crate) taken: Arc<crate::index::FastSet<String>>,
     /// Per-kind lookup indexes.
     pub(crate) idx: Indexes,
-    /// Canonical content keys (respects the cache ablation flags).
+    /// Canonical content keys (respects the pattern-cache ablation).
     pub(crate) keys: KeyCache,
 }
 
@@ -342,7 +342,6 @@ impl ModelAnalysis {
         incoming: Option<&mut IncomingKeys>,
     ) -> ModelAnalysis {
         let ctx = MatchContext::new(options);
-        let cache = options.cache_content_keys;
         let mut analysis = ModelAnalysis {
             taken: Arc::new(model.global_ids().into_iter().collect()),
             idx: Indexes::new(options),
@@ -356,9 +355,7 @@ impl ModelAnalysis {
             idx.functions_by_id.insert(&f.id, i);
             let key: Arc<str> = Arc::from(ctx.function_key(f, false).as_str());
             idx.functions_by_content.insert_shared(&key, i);
-            if cache {
-                keys.functions.push(Arc::clone(&key));
-            }
+            keys.functions.push(Arc::clone(&key));
             if let Some(inc) = inc.as_deref_mut() {
                 inc.functions.push(key);
             }
@@ -367,9 +364,7 @@ impl ModelAnalysis {
             idx.units_by_id.insert(&u.id, i);
             let key: Arc<str> = Arc::from(ctx.unit_key(u).as_str());
             idx.units_by_content.insert_shared(&key, i);
-            if cache {
-                keys.units.push(Arc::clone(&key));
-            }
+            keys.units.push(Arc::clone(&key));
             if let Some(inc) = inc.as_deref_mut() {
                 inc.units.push(key);
             }
@@ -439,9 +434,7 @@ impl ModelAnalysis {
                 let key: Arc<str> = Arc::from(ctx.reaction_key(r, false).as_str());
                 if rxn_content {
                     idx.reactions_by_content.insert_shared(&key, i);
-                    if cache {
-                        keys.reactions.push(Arc::clone(&key));
-                    }
+                    keys.reactions.push(Arc::clone(&key));
                 }
                 if let Some(inc) = inc.as_deref_mut() {
                     inc.reactions.push(key);
@@ -454,9 +447,7 @@ impl ModelAnalysis {
             }
             let key: Arc<str> = Arc::from(ctx.event_key(ev, false).as_str());
             idx.events_by_content.insert_shared(&key, i);
-            if cache {
-                keys.events.push(Arc::clone(&key));
-            }
+            keys.events.push(Arc::clone(&key));
             if let Some(inc) = inc.as_deref_mut() {
                 inc.events.push(key);
             }
@@ -514,13 +505,12 @@ pub struct PreparedModel {
 }
 
 /// The slice of [`ComposeOptions`] that shapes a [`ModelAnalysis`] built
-/// from already-canonical keys: the index structure and the two cache
-/// ablation flags.
+/// from already-canonical keys: the index structure and the pattern-cache
+/// ablation flag.
 #[derive(Debug, Clone, Copy)]
 struct AnalysisConfig {
     index: crate::index::IndexKind,
     cache_patterns: bool,
-    cache_content_keys: bool,
 }
 
 impl AnalysisConfig {
@@ -528,7 +518,6 @@ impl AnalysisConfig {
         AnalysisConfig {
             index: options.index,
             cache_patterns: options.cache_patterns,
-            cache_content_keys: options.cache_content_keys,
         }
     }
 }
@@ -664,9 +653,9 @@ impl PreparedModel {
     /// and the cheap derived state — the taken-id set, the per-kind
     /// lookup indexes, the key cache — is rebuilt from them by plain
     /// hash-map insertion, mirroring the control flow of the fresh
-    /// analysis (including the `cache_patterns` / `cache_content_keys`
-    /// ablations). The caller is responsible for checking that `options`
-    /// carries the fingerprint the parts were prepared under (the
+    /// analysis (including the `cache_patterns` ablation). The caller is
+    /// responsible for checking that `options` carries the fingerprint
+    /// the parts were prepared under (the
     /// snapshot loader verifies the recorded
     /// [`OptionsFingerprint::stable_hash`] before calling this);
     /// structural mismatches between the parts and the model are reported
@@ -743,22 +732,17 @@ impl ModelAnalysis {
         incoming: &IncomingKeys,
         config: AnalysisConfig,
     ) -> ModelAnalysis {
-        let cache = config.cache_content_keys;
         let mut idx = Indexes::with_kind(config.index);
         let mut keys = KeyCache::default();
         for (i, f) in model.function_definitions.iter().enumerate() {
             idx.functions_by_id.insert(&f.id, i);
             idx.functions_by_content.insert_shared(&incoming.functions[i], i);
-            if cache {
-                keys.functions.push(Arc::clone(&incoming.functions[i]));
-            }
+            keys.functions.push(Arc::clone(&incoming.functions[i]));
         }
         for (i, u) in model.unit_definitions.iter().enumerate() {
             idx.units_by_id.insert(&u.id, i);
             idx.units_by_content.insert_shared(&incoming.units[i], i);
-            if cache {
-                keys.units.push(Arc::clone(&incoming.units[i]));
-            }
+            keys.units.push(Arc::clone(&incoming.units[i]));
         }
         for (i, t) in model.compartment_types.iter().enumerate() {
             idx.compartment_types_by_id.insert(&t.id, i);
@@ -796,9 +780,7 @@ impl ModelAnalysis {
             idx.reactions_by_id.insert(&r.id, i);
             if rxn_content {
                 idx.reactions_by_content.insert_shared(&incoming.reactions[i], i);
-                if cache {
-                    keys.reactions.push(Arc::clone(&incoming.reactions[i]));
-                }
+                keys.reactions.push(Arc::clone(&incoming.reactions[i]));
             }
         }
         for (i, ev) in model.events.iter().enumerate() {
@@ -806,9 +788,7 @@ impl ModelAnalysis {
                 idx.events_by_id.insert(id, i);
             }
             idx.events_by_content.insert_shared(&incoming.events[i], i);
-            if cache {
-                keys.events.push(Arc::clone(&incoming.events[i]));
-            }
+            keys.events.push(Arc::clone(&incoming.events[i]));
         }
 
         ModelAnalysis {
@@ -1029,9 +1009,7 @@ mod tests {
 
     #[test]
     fn raw_round_trip_honours_cache_ablations() {
-        let options = ComposeOptions::default()
-            .with_pattern_cache(false)
-            .with_content_key_cache(false);
+        let options = ComposeOptions::default().with_pattern_cache(false);
         let m = every_kind();
         let fresh = PreparedModel::new(&m, &options);
         let rebuilt = PreparedModel::from_raw(fresh.to_raw(), &options).expect("consistent");

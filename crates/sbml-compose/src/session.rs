@@ -23,13 +23,20 @@
 //!   extended with each push's additions through a dependency graph of
 //!   initial assignments, instead of re-running [`collect`] over the
 //!   whole accumulator before every push,
-//! * **incremental mapped-key renaming** — with
-//!   [`ComposeOptions::incremental_key_rename`] (default on, heavy
-//!   semantics) a prepared push's cached content key whose referenced ids
-//!   were remapped mid-push is revalidated by renaming the cached
-//!   canonical text (the crate-internal `keyrename` module over
+//! * **incremental mapped-key renaming** — under heavy semantics a
+//!   prepared push's cached content key whose referenced ids were
+//!   remapped mid-push is revalidated by renaming the cached canonical
+//!   text (the crate-internal `keyrename` module over
 //!   [`sbml_math::pattern::Pattern::rename_mapped`]) — O(touched
-//!   leaves) — instead of re-canonicalising the formula.
+//!   leaves) — instead of re-canonicalising the formula. Light and none
+//!   semantics keep infix key text and recompute it.
+//!
+//! Each of these has one production path. The slower reference paths
+//! survive as oracles for the differential tests and benches, not as
+//! options: [`collect`] for the value store,
+//! [`CompositionSession::with_prepared_base`] (eager clone) for
+//! copy-on-write adoption, and the raw [`CompositionSession::push`],
+//! which computes every key inline, for the key cache and renaming.
 //!
 //! # Anatomy and cost of one push
 //!
@@ -39,9 +46,9 @@
 //! | phase | work | cost |
 //! |---|---|---|
 //! | per-push reset | clear mapping table + delta indexes | O(1) amortised |
-//! | initial values | incremental store lookup (seeded once) | O(1) per push (O(&#124;A&#124;) once); O(&#124;A&#124;) per push with the store ablated |
+//! | initial values | incremental store lookup (seeded once) | O(1) per push (O(&#124;A&#124;) once) |
 //! | incoming keys | inline in the passes (raw push), or taken from the [`PreparedModel`] | O(&#124;b&#124;) raw, O(1) per clean key prepared |
-//! | merge passes | functions → units → compartment/species types → compartments → species → parameters → initial assignments → rules → constraints → reactions → events, strictly in this order; each component is an O(1) expected index probe (by id, then by content/name) plus a conflict check; stale cached keys revalidated by incremental rename (O(touched leaves)) instead of re-canonicalisation (O(formula)) | O(&#124;b&#124;) |
+//! | merge passes | functions → units → compartment/species types → compartments → species → parameters → initial assignments → rules → constraints → reactions → events, strictly in this order; each component is an O(1) expected index probe (by id, then by content/name) plus a conflict check; under heavy semantics, stale cached keys revalidated by incremental rename (O(touched leaves)) instead of re-canonicalisation (O(formula)) | O(&#124;b&#124;) |
 //! | finish | fold delta indexes under canonical merged-side keys, extend the key cache and the value store with the push's additions | O(additions) |
 //!
 //! Nothing in a push scales with `|A|` (whole-accumulator value
@@ -54,7 +61,7 @@
 //! The output is bit-for-bit identical to a left fold of pairwise
 //! [`Composer::compose`] calls — `tests/properties.rs` proves model, log
 //! and mappings equality over randomized chains, across every semantics
-//! level and ablation knob. Within one push the
+//! level and paper ablation. Within one push the
 //! session therefore mirrors a subtlety of the pairwise pass: a component
 //! inserted *during* a push is indexed under its incoming (second-model)
 //! key until the push ends, and under its canonical merged-side key
@@ -63,7 +70,6 @@
 //! indexes when the push completes.
 //!
 //! [`Composer::compose`]: crate::composer::Composer::compose
-//! [`ComposeOptions::incremental_key_rename`]: crate::options::ComposeOptions::incremental_key_rename
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -199,8 +205,7 @@ pub struct CompositionSession<'o> {
     /// The adopted COW base, kept (sticky) so a failed push that
     /// materialised mid-pass can roll all the way back to the fully
     /// shared state. `Some` only for sessions created through
-    /// [`CompositionSession::with_shared_base`] with
-    /// [`ComposeOptions::adopt_base`] on.
+    /// [`CompositionSession::with_shared_base`].
     base: Option<Arc<PreparedModel>>,
     pub(crate) log: MergeLog,
     pub(crate) mappings: HashMap<String, String>,
@@ -213,9 +218,8 @@ pub struct CompositionSession<'o> {
     pub(crate) base_ivs: Option<Arc<InitialValues>>,
     /// The accumulator's initial values, maintained incrementally across
     /// pushes (seeded at the first merge, extended with each push's
-    /// additions). `None` when [`ComposeOptions::incremental_initial_values`]
-    /// is off, when values are not collected at all, or before the first
-    /// real merge.
+    /// additions). `None` when values are not collected at all, while the
+    /// accumulator is still a shared base, or before the first real merge.
     pub(crate) incremental: Option<IncrementalValues>,
     pub(crate) idx: Indexes,
     pub(crate) delta: DeltaIndexes,
@@ -261,6 +265,11 @@ impl<'o> CompositionSession<'o> {
     /// instead of re-deriving them (the per-pair `reindex` + `collect`
     /// cost of the raw path).
     ///
+    /// This is the eager clone-on-adopt reference for
+    /// [`CompositionSession::with_shared_base`]: the copy-on-write
+    /// differential tests and the fig8 fixed-cost bench compare against
+    /// it. Output is bit-for-bit identical either way.
+    ///
     /// Panics if `base` was prepared under options with a different
     /// [fingerprint](ComposeOptions::fingerprint).
     pub fn with_prepared_base(
@@ -273,19 +282,14 @@ impl<'o> CompositionSession<'o> {
         session
     }
 
-    /// A session whose accumulator *is* `base`, adopted by reference: with
-    /// [`ComposeOptions::adopt_base`] on (the default) nothing is cloned —
-    /// component lists, indexes, key cache and evaluated initial values
-    /// all stay shared with the `Arc` until a push actually mutates the
-    /// accumulator (see the `cow` module). A composition whose every
-    /// incoming component matches the base (Duplicate-only) finishes with
-    /// the base still fully shared; [`CompositionSession::finish_shared`]
-    /// then hands the `Arc` back instead of a copy.
-    ///
-    /// With `adopt_base` off this falls back to the eager clone of
-    /// [`CompositionSession::with_prepared_base`] — the oracle engine the
-    /// differential tests compare against. Output is bit-for-bit
-    /// identical either way.
+    /// A session whose accumulator *is* `base`, adopted by reference:
+    /// nothing is cloned — component lists, indexes, key cache and
+    /// evaluated initial values all stay shared with the `Arc` until a
+    /// push actually mutates the accumulator (see the `cow` module). A
+    /// composition whose every incoming component matches the base
+    /// (Duplicate-only) finishes with the base still fully shared;
+    /// [`CompositionSession::finish_shared`] then hands the `Arc` back
+    /// instead of a copy.
     ///
     /// Panics if `base` was prepared under options with a different
     /// [fingerprint](ComposeOptions::fingerprint).
@@ -295,16 +299,10 @@ impl<'o> CompositionSession<'o> {
     ) -> CompositionSession<'o> {
         base.check_options(options);
         let mut session = CompositionSession::new(options);
-        if options.adopt_base {
-            session.taken.reset(Arc::clone(&base.analysis().taken));
-            session.base_ivs =
-                options.collect_initial_values.then(|| Arc::clone(&base.initial_values));
-            session.incremental = None;
-            session.base = Some(Arc::clone(&base));
-            session.accum = Accum::Shared(base);
-        } else {
-            session.adopt_prepared(&base);
-        }
+        session.taken.reset(Arc::clone(&base.analysis().taken));
+        session.base_ivs = options.collect_initial_values.then(|| Arc::clone(&base.initial_values));
+        session.base = Some(Arc::clone(&base));
+        session.accum = Accum::Shared(base);
         session
     }
 
@@ -508,9 +506,9 @@ impl<'o> CompositionSession<'o> {
     /// The evaluated initial values of the current accumulator — exactly
     /// what the next push's conflict checks will consult: empty when
     /// [`ComposeOptions::collect_initial_values`] is off, else the
-    /// incremental store's view when it is active, else recomputed via
-    /// [`collect`]. The equivalence property tests compare the store
-    /// against a fresh `collect` after every push.
+    /// incremental store's view once it is seeded, else the adopted base's
+    /// values or a fresh [`collect`]. The equivalence property tests
+    /// compare the store against a fresh `collect` after every push.
     pub fn current_initial_values(&self) -> InitialValues {
         if !self.options().collect_initial_values {
             return InitialValues::default();
@@ -529,10 +527,6 @@ impl<'o> CompositionSession<'o> {
 
     fn options(&self) -> &'o ComposeOptions {
         self.options
-    }
-
-    fn cache_keys(&self) -> bool {
-        self.options().cache_content_keys
     }
 
     // ---------------------------------------------------------------
@@ -599,22 +593,16 @@ impl<'o> CompositionSession<'o> {
                 if let Some(iv) = &self.base_ivs {
                     self.iv_a = Arc::clone(iv);
                 }
-            } else if self.options().incremental_initial_values {
-                // Incremental path: seed the store once — from the
-                // prepared base's already-evaluated values when we have
-                // them, else one collect-equivalent fixed point — and let
-                // `finish_push` extend it with this push's additions.
-                // Accumulator-side lookups go through `iv_a_get`.
-                if self.incremental.is_none() {
-                    let known = self.base_ivs.take();
-                    self.incremental = Some(match known {
-                        Some(iv) => IncrementalValues::seed_with_known(self.accum.model(), &iv),
-                        None => IncrementalValues::seed(self.accum.model()),
-                    });
-                }
-            } else {
-                let base_ivs = self.base_ivs.take();
-                self.iv_a = base_ivs.unwrap_or_else(|| Arc::new(collect(self.accum.model())));
+            } else if self.incremental.is_none() {
+                // Seed the store once — from the prepared base's
+                // already-evaluated values when we have them, else one
+                // collect-equivalent fixed point — and let `finish_push`
+                // extend it with this push's additions. Accumulator-side
+                // lookups go through `iv_a_get`.
+                self.incremental = Some(match self.base_ivs.take() {
+                    Some(iv) => IncrementalValues::seed_with_known(self.accum.model(), &iv),
+                    None => IncrementalValues::seed(self.accum.model()),
+                });
             }
             self.iv_b = match inc.ivs {
                 Some(ivs) => Arc::clone(ivs),
@@ -764,9 +752,8 @@ impl<'o> CompositionSession<'o> {
         self.keys = keys;
         if shared_before {
             // The accumulator's contents just diverged from the base; its
-            // adopted values no longer describe them. The next push
-            // re-collects (or seeds the incremental store) from the owned
-            // model via the established begin_push paths.
+            // adopted values no longer describe them. The next push seeds
+            // the incremental store from the owned model in begin_push.
             self.base_ivs = None;
         }
     }
@@ -952,7 +939,7 @@ impl<'o> CompositionSession<'o> {
         // Feed the incremental value store exactly the components this
         // push appended (already renamed/mapped — the merged model is the
         // source of truth); it re-evaluates only the affected dependency
-        // closure, O(push), where the re-collect path is O(accumulator).
+        // closure, O(push), where a fresh `collect` is O(accumulator).
         // A still-shared accumulator appended nothing and has no store:
         // every range below is empty and the loops cost zero.
         if let Some(store) = &mut self.incremental {
@@ -967,17 +954,13 @@ impl<'o> CompositionSession<'o> {
                 },
             );
         }
-        let cache = self.cache_keys();
-
         let options = self.options;
         let merged = self.accum.model();
         for pos in start.functions..merged.function_definitions.len() {
             let key = equality::function_key(options, &merged.function_definitions[pos], &NoMap);
             let key: Arc<str> = Arc::from(key.as_str());
             self.idx.functions_by_content.insert_shared(&key, pos);
-            if cache {
-                self.keys.functions.push(key);
-            }
+            self.keys.functions.push(key);
         }
         // Units need no fix-up: their content key is invariant under
         // renaming, so both indexes were final at insertion time.
@@ -1024,18 +1007,14 @@ impl<'o> CompositionSession<'o> {
                 let key = equality::reaction_key(options, &merged.reactions[pos], &NoMap);
                 let key: Arc<str> = Arc::from(key.as_str());
                 self.idx.reactions_by_content.insert_shared(&key, pos);
-                if cache {
-                    self.keys.reactions.push(key);
-                }
+                self.keys.reactions.push(key);
             }
         }
         for pos in start.events..merged.events.len() {
             let key = equality::event_key(options, &merged.events[pos], &NoMap);
             let key: Arc<str> = Arc::from(key.as_str());
             self.idx.events_by_content.insert_shared(&key, pos);
-            if cache {
-                self.keys.events.push(key);
-            }
+            self.keys.events.push(key);
         }
         self.delta.clear();
         self.mappings.extend(self.push_maps.drain());
@@ -1286,11 +1265,9 @@ mod tests {
     #[test]
     fn ablations_do_not_change_output() {
         let heavy = ComposeOptions::default();
-        let no_key_cache = ComposeOptions::default().with_content_key_cache(false);
         let no_pattern_cache = ComposeOptions::default().with_pattern_cache(false);
         let btree = ComposeOptions::default().with_index(crate::IndexKind::BTree);
         let linear = ComposeOptions::default().with_index(crate::IndexKind::LinearScan);
-        let recollect = ComposeOptions::default().with_incremental_initial_values(false);
         let models: Vec<Model> = (0..5).map(chain_model).collect();
 
         let run = |options: &ComposeOptions| {
@@ -1302,13 +1279,7 @@ mod tests {
         };
 
         let baseline = run(&heavy);
-        for options in [
-            &no_key_cache,
-            &no_pattern_cache,
-            &btree,
-            &linear,
-            &recollect,
-        ] {
+        for options in [&no_pattern_cache, &btree, &linear] {
             let other = run(options);
             assert_eq!(other.model, baseline.model);
             assert_eq!(other.log.events, baseline.log.events);
@@ -1319,24 +1290,21 @@ mod tests {
     #[test]
     fn incremental_values_track_collect_across_pushes() {
         // After every push, the session's value snapshot must equal a
-        // fresh batch collect over the accumulator — with the store on,
-        // off, and across prepared/raw interleavings.
-        let incremental = ComposeOptions::default();
-        let recollect = ComposeOptions::default().with_incremental_initial_values(false);
-        for options in [&incremental, &recollect] {
-            let mut session = CompositionSession::new(options);
-            for (i, m) in (0..5).map(chain_model).enumerate() {
-                if i % 2 == 0 {
-                    session.push(&m);
-                } else {
-                    session.push_prepared(&PreparedModel::new(&m, options));
-                }
-                assert_eq!(
-                    session.current_initial_values(),
-                    crate::initial_values::collect(session.model()),
-                    "push {i}"
-                );
+        // fresh batch collect over the accumulator, across prepared/raw
+        // interleavings.
+        let options = ComposeOptions::default();
+        let mut session = CompositionSession::new(&options);
+        for (i, m) in (0..5).map(chain_model).enumerate() {
+            if i % 2 == 0 {
+                session.push(&m);
+            } else {
+                session.push_prepared(&PreparedModel::new(&m, &options));
             }
+            assert_eq!(
+                session.current_initial_values(),
+                crate::initial_values::collect(session.model()),
+                "push {i}"
+            );
         }
     }
 
@@ -1506,42 +1474,44 @@ mod tests {
     }
 
     #[test]
-    fn key_rename_ablation_does_not_change_output() {
-        // Prepared pushes carry cached keys, the only keys the incremental
-        // rename revalidates; raw pushes compute every key inline.
-        let models: Vec<Model> = (0..4).map(conflict_model).collect();
-        let fast = run_chain(&ComposeOptions::default(), &models, true);
-        let slow =
-            run_chain(&ComposeOptions::default().with_incremental_key_rename(false), &models, true);
-        assert_eq!(fast.model, slow.model);
-        assert_eq!(fast.log.events, slow.log.events);
-        assert_eq!(fast.mappings, slow.mappings);
-    }
-
-    #[test]
-    fn prepared_models_survive_execution_knob_changes() {
-        // Key renaming and COW adoption are execution details: a
-        // preparation built under one setting must be accepted (and
-        // produce identical output) under the other.
-        let plain = ComposeOptions::default();
-        let other = ComposeOptions::default()
-            .with_incremental_key_rename(false)
-            .with_adopt_base(false);
-        let models: Vec<Model> = (0..3).map(conflict_model).collect();
-        let prepared: Vec<PreparedModel> =
-            models.iter().map(|m| PreparedModel::new(m, &plain)).collect();
-
-        let run = |options: &ComposeOptions| {
-            let mut session = CompositionSession::new(options);
-            for p in &prepared {
-                session.push_prepared(p);
-            }
-            session.finish()
+    fn id_hit_on_a_component_added_earlier_in_the_same_push() {
+        // Incoming `f` collides with the base's species `f` and is renamed
+        // `f_1`; the incoming model's own `f_1` then hits that function by
+        // id before `finish_push` has cached its key. The comparison must
+        // use the renamed function's key, exactly as a later push would.
+        // Events follow the same path.
+        let a = ModelBuilder::new("a")
+            .compartment("cell", 1.0)
+            .species("f", 1.0)
+            .species("e", 1.0)
+            .build();
+        let second = |f1_body: &str, e1_trigger: &str| {
+            ModelBuilder::new("b")
+                .compartment("cell", 1.0)
+                .function("f", &["x"], "x*2")
+                .function("f_1", &["x"], f1_body)
+                .event("e", "time > 1", &[])
+                .event("e_1", e1_trigger, &[])
+                .build()
         };
-        let reference = run(&plain);
-        let crossed = run(&other); // cross-setting acceptance
-        assert_eq!(crossed.model, reference.model);
-        assert_eq!(crossed.log.events, reference.log.events);
-        assert_eq!(crossed.mappings, reference.mappings);
+        let options = ComposeOptions::default();
+        for (b, kind) in [
+            (second("x*2", "time > 1"), crate::EventKind::Duplicate),
+            (second("x*3", "time > 2"), crate::EventKind::Conflict),
+        ] {
+            let models = [a.clone(), b];
+            let raw = run_chain(&options, &models, false);
+            let prepared = run_chain(&options, &models, true);
+            assert_eq!(prepared.model, raw.model);
+            assert_eq!(prepared.log.events, raw.log.events);
+            for (component, id) in [("functionDefinition", "f_1"), ("event", "e_1")] {
+                assert!(
+                    raw.log.events.iter().any(|e| {
+                        e.component == component && e.incoming_id == id && e.kind == kind
+                    }),
+                    "{component} {id} must be logged as {kind:?}"
+                );
+            }
+        }
     }
 }

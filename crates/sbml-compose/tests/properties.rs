@@ -358,7 +358,7 @@ mod session_props {
                 ComposeOptions::light(),
                 ComposeOptions::none(),
                 ComposeOptions::default().with_pattern_cache(false),
-                ComposeOptions::default().with_content_key_cache(false),
+                ComposeOptions::default().with_initial_values(false),
             ] {
                 let cmp = Composer::new(options.clone());
                 let folded = compose_many_pairwise(&cmp, &models);
@@ -396,7 +396,7 @@ mod incremental_value_props {
     use super::*;
 
     use sbml_compose::initial_values::collect;
-    use sbml_compose::{compose_many_pairwise, CompositionSession, PreparedModel};
+    use sbml_compose::{CompositionSession, PreparedModel};
 
     use crate::session_props::rich_model_strategy;
 
@@ -407,8 +407,7 @@ mod incremental_value_props {
         /// `push_prepared` over models whose initial assignments collide
         /// (the rich strategy assigns into the shared S0..S7 alphabet)
         /// reports values identical to a fresh full `collect` over the
-        /// accumulator after EVERY push — with the incremental store on,
-        /// off, and under every semantics level.
+        /// accumulator after EVERY push, under every semantics level.
         #[test]
         fn interleaved_push_values_equal_fresh_collect_after_every_push(
             models in proptest::collection::vec(rich_model_strategy(), 1..5),
@@ -418,7 +417,6 @@ mod incremental_value_props {
                 ComposeOptions::heavy(),
                 ComposeOptions::light(),
                 ComposeOptions::none(),
-                ComposeOptions::default().with_incremental_initial_values(false),
             ] {
                 let mut session = CompositionSession::new(&options);
                 for (i, m) in models.iter().enumerate() {
@@ -436,53 +434,11 @@ mod incremental_value_props {
             }
         }
 
-        /// The incremental-store ablation is output-invisible: with the
-        /// store on or off (and with value collection off altogether) a
-        /// session equals the re-collect pairwise fold, per semantics
-        /// level.
-        #[test]
-        fn incremental_values_knob_never_changes_output(
-            models in proptest::collection::vec(rich_model_strategy(), 0..5)
-        ) {
-            for base in [ComposeOptions::heavy(), ComposeOptions::light(), ComposeOptions::none()] {
-                let reference_options = base.clone().with_incremental_initial_values(false);
-                let folded =
-                    compose_many_pairwise(&Composer::new(reference_options.clone()), &models);
-                for options in [
-                    base.clone(),
-                    base.clone().with_incremental_initial_values(false),
-                    base.clone().with_initial_values(false),
-                ] {
-                    let collects_values = options.collect_initial_values;
-                    let mut session = CompositionSession::new(&options);
-                    for m in &models {
-                        session.push(m);
-                    }
-                    let chained = session.finish();
-                    if collects_values {
-                        prop_assert_eq!(&chained.model, &folded.model);
-                        prop_assert_eq!(&chained.log.events, &folded.log.events);
-                        prop_assert_eq!(&chained.mappings, &folded.mappings);
-                    } else {
-                        // Without value evaluation the merge decisions may
-                        // legitimately differ from the reference; compare
-                        // against the same options' own pairwise fold
-                        // instead.
-                        let no_iv_folded =
-                            compose_many_pairwise(&Composer::new(options.clone()), &models);
-                        prop_assert_eq!(&chained.model, &no_iv_folded.model);
-                        prop_assert_eq!(&chained.log.events, &no_iv_folded.log.events);
-                        prop_assert_eq!(&chained.mappings, &no_iv_folded.mappings);
-                    }
-                }
-            }
-        }
-
         /// The incremental cached-key rename is output-invisible: for
-        /// every semantics level, prepared sessions (whose cached keys
-        /// the rename revalidates) with the rename on equal the
-        /// full-recompute ablation and the raw session (every key
-        /// computed inline) — model, log event sequence and mappings.
+        /// every semantics level, a prepared session (whose cached keys
+        /// the rename revalidates under heavy semantics) equals the raw
+        /// session (every key computed inline) — model, log event
+        /// sequence and mappings.
         #[test]
         fn key_rename_never_changes_output(
             models in proptest::collection::vec(rich_model_strategy(), 0..4),
@@ -495,21 +451,14 @@ mod incremental_value_props {
                 }
                 let raw = raw.finish();
 
-                // The ablation shares the fingerprint, so one preparation
-                // serves both sessions.
-                let rekey = base.clone().with_incremental_key_rename(false);
-                let prepared: Vec<PreparedModel> =
-                    models.iter().map(|m| PreparedModel::new(m, &base)).collect();
-                for options in [&base, &rekey] {
-                    let mut session = CompositionSession::new(options);
-                    for p in &prepared {
-                        session.push_prepared(p);
-                    }
-                    let out = session.finish();
-                    prop_assert_eq!(&out.model, &raw.model);
-                    prop_assert_eq!(&out.log.events, &raw.log.events);
-                    prop_assert_eq!(&out.mappings, &raw.mappings);
+                let mut session = CompositionSession::new(&base);
+                for m in &models {
+                    session.push_prepared(&PreparedModel::new(m, &base));
                 }
+                let out = session.finish();
+                prop_assert_eq!(&out.model, &raw.model);
+                prop_assert_eq!(&out.log.events, &raw.log.events);
+                prop_assert_eq!(&out.mappings, &raw.mappings);
             }
         }
     }
@@ -531,7 +480,7 @@ mod prepared_props {
 
         /// `compose_prepared` is indistinguishable from raw `compose` —
         /// model, log event sequence and mappings — for every semantics
-        /// level and cache ablation.
+        /// level and paper ablation.
         #[test]
         fn compose_prepared_equals_compose(
             a in rich_model_strategy(),
@@ -542,7 +491,6 @@ mod prepared_props {
                 ComposeOptions::light(),
                 ComposeOptions::none(),
                 ComposeOptions::default().with_pattern_cache(false),
-                ComposeOptions::default().with_content_key_cache(false),
                 ComposeOptions::default().with_initial_values(false),
                 ComposeOptions::default().with_index(sbml_compose::IndexKind::BTree),
                 ComposeOptions::default().with_index(sbml_compose::IndexKind::LinearScan),

@@ -3,9 +3,9 @@
 //! Proves the copy-on-write accumulator bit-identical to the eager
 //! clone-on-adopt reference across:
 //!
-//! * all three semantics levels × the knob ablations (content-key cache,
-//!   incremental initial values, incremental key rename, initial values),
-//! * pool sizes 1..8 (`pool_threads` must stay output-neutral),
+//! * all three semantics levels × the paper ablations (initial values,
+//!   pattern cache — the latter leaves reaction keys uncached, the one
+//!   recompute path left on a COW session),
 //! * every push entry point (raw / prepared / guarded),
 //! * rollback: a failed guarded push must leave the shared base
 //!   untouched (covered against injected faults in
@@ -28,33 +28,28 @@ fn semantics_levels() -> [ComposeOptions; 3] {
     [ComposeOptions::heavy(), ComposeOptions::light(), ComposeOptions::none()]
 }
 
-/// The knob ablations the COW path must be neutral under, applied to a
+/// The paper ablations the COW path must be neutral under, applied to a
 /// base options value.
 fn ablations(options: &ComposeOptions) -> Vec<(&'static str, ComposeOptions)> {
     vec![
         ("default", options.clone()),
-        ("no-content-key-cache", options.clone().with_content_key_cache(false)),
-        ("no-incremental-ivs", options.clone().with_incremental_initial_values(false)),
-        ("no-key-rename", options.clone().with_incremental_key_rename(false)),
         ("no-initial-values", options.clone().with_initial_values(false)),
+        ("no-pattern-cache", options.clone().with_pattern_cache(false)),
     ]
 }
 
 #[test]
-fn cow_equals_clone_across_semantics_ablations_and_workers() {
+fn cow_equals_clone_across_semantics_and_ablations() {
     let base = base_model(6);
     let pushes = [overlap_push(1), duplicate_push(3), overlap_push(2)];
     for options in semantics_levels() {
         for (name, options) in ablations(&options) {
-            for workers in 1..=8usize {
-                for mode in [PushMode::Raw, PushMode::Prepared, PushMode::Guarded] {
-                    let outcome =
-                        assert_cow_matches_clone(&options, &base, &pushes, mode, workers);
-                    assert!(
-                        !outcome.base_stayed_shared,
-                        "overlap pushes must materialise ({name}, workers={workers})"
-                    );
-                }
+            for mode in [PushMode::Raw, PushMode::Prepared, PushMode::Guarded] {
+                let outcome = assert_cow_matches_clone(&options, &base, &pushes, mode);
+                assert!(
+                    !outcome.base_stayed_shared,
+                    "overlap pushes must materialise ({name}, {mode:?})"
+                );
             }
         }
     }
@@ -67,7 +62,7 @@ fn duplicate_only_composition_never_copies_the_base() {
     for options in semantics_levels() {
         for (name, options) in ablations(&options) {
             for mode in [PushMode::Raw, PushMode::Prepared, PushMode::Guarded] {
-                let outcome = assert_cow_matches_clone(&options, &base, &pushes, mode, 4);
+                let outcome = assert_cow_matches_clone(&options, &base, &pushes, mode);
                 assert!(
                     outcome.base_stayed_shared,
                     "pure-duplicate pushes must leave the base shared ({name}, {mode:?})"
@@ -83,13 +78,8 @@ fn match_miss_empty_push_keeps_base_shared() {
     // materialise: zero additions means zero copies.
     let options = ComposeOptions::default();
     let base = base_model(4);
-    let outcome = assert_cow_matches_clone(
-        &options,
-        &base,
-        &[duplicate_push(1)],
-        PushMode::Prepared,
-        2,
-    );
+    let outcome =
+        assert_cow_matches_clone(&options, &base, &[duplicate_push(1)], PushMode::Prepared);
     assert!(outcome.base_stayed_shared);
 }
 
@@ -146,22 +136,14 @@ fn budget_exhausted_push_rolls_back_to_shared_base() {
 #[test]
 fn cow_session_interleaves_materialising_and_absorbed_pushes() {
     // Duplicate, then overlap (materialises), then more pushes on the now
-    // owned accumulator — equality must hold through the transition, at
-    // every worker count.
+    // owned accumulator — equality must hold through the transition.
     let base = base_model(5);
     let pushes =
         [duplicate_push(2), overlap_push(3), duplicate_push(4), overlap_push(9)];
-    for workers in [1, 2, 5, 8] {
-        for mode in [PushMode::Raw, PushMode::Prepared, PushMode::Guarded] {
-            let outcome = assert_cow_matches_clone(
-                &ComposeOptions::default(),
-                &base,
-                &pushes,
-                mode,
-                workers,
-            );
-            assert!(!outcome.base_stayed_shared);
-        }
+    for mode in [PushMode::Raw, PushMode::Prepared, PushMode::Guarded] {
+        let outcome =
+            assert_cow_matches_clone(&ComposeOptions::default(), &base, &pushes, mode);
+        assert!(!outcome.base_stayed_shared);
     }
 }
 
@@ -171,13 +153,7 @@ fn semantics_none_duplicates_still_share() {
     // the COW invariants are semantics-independent.
     let options = ComposeOptions::default().with_semantics(SemanticsLevel::None);
     let base = base_model(4);
-    let outcome = assert_cow_matches_clone(
-        &options,
-        &base,
-        &[duplicate_push(2)],
-        PushMode::Raw,
-        3,
-    );
+    let outcome = assert_cow_matches_clone(&options, &base, &[duplicate_push(2)], PushMode::Raw);
     assert!(outcome.base_stayed_shared);
 }
 
@@ -187,7 +163,7 @@ fn one_pool_serves_many_sessions_against_one_base() {
     // COW sessions running concurrently on its lanes. Every composition
     // must match the clone oracle and the base Arc must end with no
     // session still holding it.
-    let options = ComposeOptions::default().with_pool_threads(4);
+    let options = ComposeOptions::default();
     let batch = BatchComposer::new(Composer::new(options.clone())).with_threads(4);
     let composer = batch.composer();
     let base = Arc::new(composer.prepare(&base_model(6)));
